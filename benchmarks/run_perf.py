@@ -11,11 +11,14 @@ Runs six suites and records the results in ``BENCH_engine.json``:
    because event-eliding optimizations make it misleading (a bench that
    cancels 3000 events in 8 actual events has a *lower* events/sec
    precisely because it is faster).
-2. **Fig-8 sweep** — the full Pi node-scaling sweep (the heaviest figure
-   reproduction) in optimized vs reference engine mode, asserting that
-   every series value is **byte-identical** between the two modes (the
-   determinism contract) and reporting the wall-clock speedup of the
-   optimized event loop.
+2. **Determinism** — the sha256 of the engine's ``(time, priority, seq,
+   event-class)`` trace for a dense mixed scenario and for one Fig-8
+   point, checked against the frozen fixture
+   ``tests/sim/data/frozen_traces.json``.
+   **Fig-8 sweep** — the full Pi node-scaling sweep (the heaviest figure
+   reproduction), recording its wall-clock and asserting that the
+   reduced golden grid reproduces ``tests/golden/data/fig8.golden.json``
+   **byte for byte**.
 3. **Model bench** — the cluster-protocol A/B (``repro.modelmode``):
    event-thin heartbeats + analytic task segments vs the pre-overhaul
    fixed-interval model, reporting events-per-simulated-job, cluster-
@@ -24,7 +27,7 @@ Runs six suites and records the results in ``BENCH_engine.json``:
    ``SweepPool`` dispatch overhead vs a cold per-sweep pool, the
    point-cache incremental re-sweep (executed-point reduction after a
    one-value grid edit), and 4-shard ``--merge`` parity against a
-   serial run in both engine modes and both model modes.
+   serial run in both model modes.
 5. **Scale bench** — the weak-scaling envelope: the ``scale`` scenario
    family (256-4096 nodes, every placement policy) timed against a
    frozen seed-tree baseline with a >= 2x gate on the 1024-node point,
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import math
 import statistics
@@ -61,7 +65,6 @@ for p in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, p)
 
 import benchmarks.legacy as legacy  # noqa: E402
-import repro.sim.engine as engine  # noqa: E402
 from repro.sim import Environment, Interrupt, PriorityResource, Store  # noqa: E402
 
 # --------------------------------------------------------------------------- #
@@ -85,7 +88,7 @@ def _run(env) -> tuple[float, int]:
 def micro_timeout_chain(ns, n: int) -> tuple[float, int]:
     """Pure event-loop throughput: one process, n sequential sleeps."""
     env = ns.Environment()
-    to = getattr(env, "pooled_timeout", env.timeout)
+    to = env.timeout
 
     def proc():
         for _ in range(n):
@@ -279,8 +282,13 @@ def run_micros(pairs: int, smoke: bool) -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Determinism: engine-mode trace equality                                      #
+# Determinism: event traces against the frozen fixture                         #
 # --------------------------------------------------------------------------- #
+
+FROZEN_TRACES = REPO_ROOT / "tests" / "sim" / "data" / "frozen_traces.json"
+FIG8_GOLDEN = REPO_ROOT / "tests" / "golden" / "data" / "fig8.golden.json"
+#: The reduced grid ``tests/golden`` freezes fig8 at.
+FIG8_GOLDEN_GRID = {"nodes": [2, 4], "samples": 1e9}
 
 
 def _trace_scenario(env: Environment) -> None:
@@ -327,17 +335,43 @@ def _trace_scenario(env: Environment) -> None:
     env.run()
 
 
+def _trace_digest(trace: list) -> str:
+    return hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+
+
 def check_trace_determinism() -> bool:
-    fast = Environment(reference=False)
-    fast_trace = fast.capture_trace()
-    _trace_scenario(fast)
-    ref = Environment(reference=True)
-    ref_trace = ref.capture_trace()
-    _trace_scenario(ref)
-    same = fast_trace == ref_trace
-    print(f"  trace determinism (fast vs reference, {len(fast_trace)} events): "
-          f"{'IDENTICAL' if same else 'MISMATCH'}")
-    return same
+    """Both traced programs must reproduce their frozen sha256."""
+    import repro.modelmode as modelmode
+    from repro.experiments.scenarios import fig8_point
+
+    frozen = json.loads(FROZEN_TRACES.read_text())
+    env = Environment()
+    mixed = env.capture_trace()
+    _trace_scenario(env)
+
+    # Every Environment one fig8 point builds, traced into one list.
+    fig8: list = []
+    init = Environment.__init__
+
+    def tracing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.capture_trace(fig8)
+
+    Environment.__init__ = tracing_init
+    prev = modelmode.set_model_reference(False)
+    try:
+        fig8_point(frozen["fig8_point"]["cfg"])
+    finally:
+        Environment.__init__ = init
+        modelmode.set_model_reference(prev)
+
+    ok = True
+    for name, trace in (("trace_scenario", mixed), ("fig8_point", fig8)):
+        same = _trace_digest(trace) == frozen[name]["sha256"]
+        print(f"  trace determinism ({name}, {len(trace)} events vs frozen "
+              f"{frozen[name]['events']}): {'IDENTICAL' if same else 'MISMATCH'}")
+        ok = ok and same
+    return ok
 
 
 # --------------------------------------------------------------------------- #
@@ -362,55 +396,34 @@ def _fig8_series(nodes, samples, workers: int = 1) -> list[tuple[str, list[float
 
 
 def run_fig8(pairs: int, smoke: bool, workers: int = 1) -> tuple[dict, bool]:
+    from repro.experiments import run_sweep
+
     nodes = (4, 8) if smoke else (4, 8, 16, 32, 64)
     samples = 1e10 if smoke else 1e11
-    # Warm up imports/caches outside the timed region (both modes).
-    for mode in (True, False):
-        prev = engine.set_reference_mode(mode)
-        try:
-            _fig8_series((4,), 1e9)
-        finally:
-            engine.set_reference_mode(prev)
-    ref_times, fast_times = [], []
-    ref_series = fast_series = None
+    _fig8_series((4,), 1e9)  # warm up imports/caches outside the timed region
+    times = []
+    runs = []
     for _ in range(pairs):
-        prev = engine.set_reference_mode(True)
-        try:
-            t0 = time.perf_counter()
-            ref_series = _fig8_series(nodes, samples, workers)
-            ref_times.append(time.perf_counter() - t0)
-        finally:
-            engine.set_reference_mode(prev)
-        prev = engine.set_reference_mode(False)
-        try:
-            t0 = time.perf_counter()
-            fast_series = _fig8_series(nodes, samples, workers)
-            fast_times.append(time.perf_counter() - t0)
-        finally:
-            engine.set_reference_mode(prev)
-    # Byte-identity: serialize with full repr precision and compare.
-    ref_bytes = json.dumps(ref_series).encode()
-    fast_bytes = json.dumps(fast_series).encode()
-    identical = ref_bytes == fast_bytes
-    speedup = statistics.median(r / f for r, f in zip(ref_times, fast_times))
-    print(f"  fig8 sweep nodes={nodes}: reference best {min(ref_times):.3f}s, "
-          f"optimized best {min(fast_times):.3f}s, median speedup x{speedup:.2f}")
-    print(f"  fig8 series byte-identical across engine modes: {identical}")
+        t0 = time.perf_counter()
+        runs.append(_fig8_series(nodes, samples, workers))
+        times.append(time.perf_counter() - t0)
+    repeatable = all(json.dumps(r) == json.dumps(runs[0]) for r in runs)
+    # Byte-identity: the golden grid must reproduce the frozen file.
+    golden = run_sweep("fig8", FIG8_GOLDEN_GRID, workers=workers)
+    matches_golden = golden.pretty_json() == FIG8_GOLDEN.read_text()
+    identical = repeatable and matches_golden
+    print(f"  fig8 sweep nodes={nodes}: best {min(times):.3f}s, "
+          f"median {statistics.median(times):.3f}s")
+    print(f"  fig8 series repeat across runs: {repeatable}; golden grid "
+          f"byte-identical to {FIG8_GOLDEN.name}: {matches_golden}")
     result = {
         "nodes": list(nodes),
         "samples": samples,
         "sweep_workers": workers,
-        "wallclock_reference_best_s": round(min(ref_times), 4),
-        "wallclock_optimized_best_s": round(min(fast_times), 4),
-        "wallclock_speedup_median": round(speedup, 3),
+        "wallclock_best_s": round(min(times), 4),
+        "wallclock_median_s": round(statistics.median(times), 4),
         "series_byte_identical": identical,
-        "series": [{"label": lbl, "makespans_s": ys} for lbl, ys in fast_series],
-        "note": (
-            "reference mode isolates the event-loop rewrite only; the "
-            "lazy-cancellation, store fast paths, claim API, and pooled/"
-            "composite events are shared by both modes, so the full "
-            "speedup over the seed engine is larger (see seed_baseline)"
-        ),
+        "series": [{"label": lbl, "makespans_s": ys} for lbl, ys in runs[0]],
     }
     return result, identical
 
@@ -696,38 +709,34 @@ def run_sweep_bench(pairs: int, smoke: bool) -> tuple[dict, bool]:
         ok = False
 
     # Shard/merge parity: 4 shards reassemble to the serial sha256 in
-    # every engine-mode x model-mode combination.
+    # both model modes.
     overrides = {"nodes": [2, 4], "samples": 1e9}
     parity: dict = {}
-    for eng_ref in (False, True):
-        for mod_ref in (False, True):
-            prev_e = engine.set_reference_mode(eng_ref)
-            prev_m = modelmode.set_model_reference(mod_ref)
-            try:
-                serial = run_sweep("fig8", overrides, workers=1)
-                with tempfile.TemporaryDirectory() as td:
-                    dirs = []
-                    for i in range(4):
-                        manifest = run_shard("fig8", i, 4, overrides, workers=1)
-                        dirs.append(write_shard(manifest, Path(td) / f"s{i}").parent)
-                    merged = merge_shards(dirs)
-            finally:
-                engine.set_reference_mode(prev_e)
-                modelmode.set_model_reference(prev_m)
-            label = (f"engine_{'reference' if eng_ref else 'fast'}"
-                     f"_model_{'reference' if mod_ref else 'thin'}")
-            identical = merged.sha256() == serial.sha256()
-            parity[label] = identical
-            if not identical:
-                print(f"  SHARD MERGE NOT BYTE-IDENTICAL under {label}")
-                ok = False
+    for mod_ref in (False, True):
+        prev_m = modelmode.set_model_reference(mod_ref)
+        try:
+            serial = run_sweep("fig8", overrides, workers=1)
+            with tempfile.TemporaryDirectory() as td:
+                dirs = []
+                for i in range(4):
+                    manifest = run_shard("fig8", i, 4, overrides, workers=1)
+                    dirs.append(write_shard(manifest, Path(td) / f"s{i}").parent)
+                merged = merge_shards(dirs)
+        finally:
+            modelmode.set_model_reference(prev_m)
+        label = f"model_{'reference' if mod_ref else 'thin'}"
+        identical = merged.sha256() == serial.sha256()
+        parity[label] = identical
+        if not identical:
+            print(f"  SHARD MERGE NOT BYTE-IDENTICAL under {label}")
+            ok = False
     results["shard_merge"] = {
         "shards": 4,
         "grid": overrides,
         "sha256_identical": parity,
     }
     print(f"  4-shard merge sha256-identical to serial: "
-          f"{all(parity.values())} ({len(parity)} mode combinations)")
+          f"{all(parity.values())} ({len(parity)} model modes)")
     return results, ok
 
 
@@ -927,9 +936,8 @@ def main(argv=None) -> int:
     parser.add_argument("--budget-s", type=float, default=120.0,
                         help="smoke-mode wall-clock budget in seconds")
     parser.add_argument("--sweep-workers", type=int, default=1,
-                        help="worker processes for the Fig-8 sweep (applied "
-                             "to both engine modes; series stay byte-"
-                             "identical at any count)")
+                        help="worker processes for the Fig-8 sweep (series "
+                             "stay byte-identical at any count)")
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_engine.json")
     args = parser.parse_args(argv)
     pairs = args.pairs if args.pairs is not None else (1 if args.smoke else 5)
@@ -940,9 +948,9 @@ def main(argv=None) -> int:
     print(f"engine perf harness ({'smoke' if args.smoke else 'full'}, {pairs} pair(s))")
     print("[1/6] microbenchmarks vs frozen seed engine (benchmarks/legacy)")
     micros = run_micros(pairs, args.smoke)
-    print("[2/6] determinism: fast-vs-reference event traces")
+    print("[2/6] determinism: event traces vs the frozen fixture")
     traces_ok = check_trace_determinism()
-    print("[3/6] Fig-8 sweep: optimized vs reference engine mode "
+    print("[3/6] Fig-8 sweep: wall-clock + golden byte-identity "
           f"({args.sweep_workers} sweep worker(s))")
     fig8, series_ok = run_fig8(pairs, args.smoke, args.sweep_workers)
     print("[4/6] model bench: event-thin cluster protocol vs reference model")
@@ -977,12 +985,6 @@ def main(argv=None) -> int:
     if not args.smoke:
         if micros["_geomean_speedup"] < 2.0:
             print("TARGET MISSED: microbenchmark geomean speedup < 2x")
-            ok = False
-        if fig8["wallclock_speedup_median"] < 0.85:
-            # The two modes share all workload-level optimizations, so
-            # this only guards against the fast loop itself regressing;
-            # 0.85 leaves room for shared-host timing noise.
-            print("REGRESSION: optimized engine slower than reference on the sweep")
             ok = False
         if model_bench["fig8_model_ab"]["wallclock_speedup_median"] < 1.5:
             print("TARGET MISSED: event-thin model < 1.5x on the fig8 sweep")

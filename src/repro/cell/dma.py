@@ -147,7 +147,7 @@ class DMAEngine:
             if claim is None:
                 req = slots.request()
                 yield req
-            yield self.env.pooled_timeout(self.request_latency_s)
+            yield self.env.timeout(self.request_latency_s)
             yield from bus.transfer(nbytes)
         finally:
             if claim is not None:

@@ -50,7 +50,7 @@ class SPE:
             if claim is None:
                 req = slot.request()
                 yield req
-            yield self.env.pooled_timeout(seconds)
+            yield self.env.timeout(seconds)
         finally:
             if claim is not None:
                 slot.release_claim(claim)
@@ -89,7 +89,7 @@ class PPE:
             if claim is None:
                 req = slot.request()
                 yield req
-            yield self.env.pooled_timeout(seconds)
+            yield self.env.timeout(seconds)
         finally:
             if claim is not None:
                 slot.release_claim(claim)

@@ -231,7 +231,7 @@ class OffloadRuntime:
         chunks = max(1, int(np.ceil(nbytes / self.chunk_bytes))) if nbytes else 0
         if chunks == 0:
             if startup > 0:
-                yield self.env.pooled_timeout(startup)
+                yield self.env.timeout(startup)
             return OffloadResult(0.0, self.env.now - t0, 0, "analytic")
         if chunks > self.event_chunk_limit:
             # Startup + closed-form pipeline time: one composite event.
@@ -241,7 +241,7 @@ class OffloadRuntime:
             self._record_busy(busy)
             return OffloadResult(nbytes, self.env.now - t0, chunks, "analytic", busy)
         if startup > 0:
-            yield self.env.pooled_timeout(startup)
+            yield self.env.timeout(startup)
         yield from self._event_offload(nbytes, chunks, spe_bw)
         busy = nbytes / spe_bw + chunks * self.calib.spe_per_chunk_overhead_s
         return OffloadResult(nbytes, self.env.now - t0, chunks, "event", busy)
@@ -312,9 +312,9 @@ class OffloadRuntime:
                 samples, self.env.now - t0, self.cell.spe_count, "analytic", busy
             )
         if lead_s > 0:
-            yield self.env.pooled_timeout(lead_s)
+            yield self.env.timeout(lead_s)
         if startup > 0:
-            yield self.env.pooled_timeout(startup)
+            yield self.env.timeout(startup)
         if samples == 0:
             return OffloadResult(0.0, self.env.now - t0, 0, "analytic")
         nspe = self.cell.spe_count
@@ -451,7 +451,7 @@ class CellMapReduceRuntime(OffloadRuntime):
         chunks = max(1, int(np.ceil(nbytes / self.chunk_bytes))) if nbytes else 0
         if chunks == 0:
             if startup > 0:
-                yield self.env.pooled_timeout(startup)
+                yield self.env.timeout(startup)
             return OffloadResult(0.0, self.env.now - t0, 0, "analytic")
         if chunks > self.event_chunk_limit:
             t = self.analytic_time(nbytes, spe_bw)
@@ -460,7 +460,7 @@ class CellMapReduceRuntime(OffloadRuntime):
             self._record_busy(busy)
             return OffloadResult(nbytes, self.env.now - t0, chunks, "analytic", busy)
         if startup > 0:
-            yield self.env.pooled_timeout(startup)
+            yield self.env.timeout(startup)
         # Event path: the framework's input-initialization copy runs on
         # the PPE before the map phase touches the SPEs.
         yield from self.cell.ppe.copy(nbytes)

@@ -1,18 +1,17 @@
 """Sweep result caching: whole-sweep entries plus per-point entries.
 
 A sweep is a pure function of its *request*: the scenario definition
-(grid, defaults, curves, seed), the engine mode, the model-protocol
-mode (repro.modelmode), the calibration profile — and the code itself.
+(grid, defaults, curves, seed), the model-protocol mode
+(repro.modelmode), the calibration profile — and the code itself.
 :func:`request_key` hashes the canonical request description plus a
-best-effort code-version marker (the git HEAD commit, read without
-spawning a process), so two invocations that would provably compute
-identical series share one cache entry, while a grid override, another
-seed, the reference engine or reference model, a calibration tweak,
-or a new commit each miss by construction. The one honest gap: edits
-that are not yet committed do not change the key — after hacking on
-model code, clear the cache directory (or commit) before trusting a
-hit. Worker count is deliberately *not* part of the key: the driver's
-determinism contract makes results byte-identical at any parallelism.
+code fingerprint (a sha256 over the ``repro`` package sources and the
+Python and numpy versions, computed once per process), so two
+invocations that would provably compute identical series share one
+cache entry, while a grid override, another seed, the reference model,
+a calibration tweak, or any source edit — committed or not — each miss
+by construction. Worker count is deliberately *not* part of the key:
+the driver's determinism contract makes results byte-identical at any
+parallelism.
 
 The same purity holds one level down: **each grid point** is a pure
 function of its fully-bound ``cfg`` (plus modes/calibration/code), so
@@ -51,9 +50,11 @@ each other to the same entry.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import platform
 import threading
 import time
 from dataclasses import dataclass
@@ -62,7 +63,6 @@ from typing import Any, Callable, Mapping, Optional, TypeVar, Union
 
 import repro.modelmode as modelmode
 import repro.obs as obs
-import repro.sim.engine as engine
 from repro.experiments.driver import SweepResult, run_sweep
 from repro.experiments.pool import SweepPool
 from repro.experiments.registry import get_scenario
@@ -90,32 +90,23 @@ _POINT_FORMAT = 1
 """Per-point cache schema version."""
 
 
-def _code_version() -> Optional[str]:
-    """Best-effort marker for the simulator code the results came from:
-    the git HEAD commit of the repo containing this package, resolved by
-    plain file reads (no subprocess). None outside a git checkout —
-    then only the schema ``_FORMAT`` guards against code drift."""
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        git_dir = parent / ".git"
-        if not git_dir.is_dir():
-            continue
-        try:
-            head = (git_dir / "HEAD").read_text().strip()
-            if head.startswith("ref: "):
-                ref = git_dir / head[5:]
-                if ref.exists():
-                    return ref.read_text().strip()
-                packed = git_dir / "packed-refs"
-                if packed.exists():
-                    for line in packed.read_text().splitlines():
-                        if line.endswith(head[5:]):
-                            return line.split(" ", 1)[0]
-                return head  # unborn branch: the ref name still keys it
-            return head  # detached HEAD: already a commit hash
-        except OSError:
-            return None
-    return None
+@functools.cache
+def _code_version() -> str:
+    """Fingerprint of the simulator code the results come from.
+
+    sha256 over every ``repro`` source file (relative path plus bytes,
+    in sorted order) and the Python and numpy versions, since float
+    output may depend on them. Uncommitted edits change it; computed
+    once per process."""
+    import numpy
+
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(str(path.relative_to(package.parent)).encode())
+        digest.update(path.read_bytes())
+    digest.update(f"python {platform.python_version()} numpy {numpy.__version__}".encode())
+    return digest.hexdigest()
 
 
 def _hash_request(request: dict[str, Any]) -> str:
@@ -183,12 +174,9 @@ class InflightRegistry:
 
 def request_key(
     scenario: Scenario,
-    reference: Optional[bool] = None,
     model_reference: Optional[bool] = None,
 ) -> str:
     """sha256 over everything that determines a sweep's bytes."""
-    if reference is None:
-        reference = engine.REFERENCE_MODE
     if model_reference is None:
         model_reference = modelmode.REFERENCE_MODE
     return _hash_request({
@@ -200,7 +188,6 @@ def request_key(
         "seed": scenario.seed,
         "x": scenario.x,
         "curves": list(scenario.curves),
-        "reference_engine": bool(reference),
         "reference_model": bool(model_reference),
         "calibration": PAPER_CALIBRATION.to_dict(),
     })
@@ -209,7 +196,6 @@ def request_key(
 def point_key(
     scenario: Scenario,
     cfg: Mapping[str, Any],
-    reference: Optional[bool] = None,
     model_reference: Optional[bool] = None,
 ) -> str:
     """sha256 over everything that determines one grid point's values.
@@ -219,8 +205,6 @@ def point_key(
     adding or removing neighbors never invalidates a point, which is
     exactly what makes incremental re-sweeps possible.
     """
-    if reference is None:
-        reference = engine.REFERENCE_MODE
     if model_reference is None:
         model_reference = modelmode.REFERENCE_MODE
     return _hash_request({
@@ -229,7 +213,6 @@ def point_key(
         "scenario": scenario.name,
         "cfg": dict(cfg),
         "curves": list(scenario.curves),
-        "reference_engine": bool(reference),
         "reference_model": bool(model_reference),
         "calibration": PAPER_CALIBRATION.to_dict(),
     })
@@ -300,11 +283,10 @@ class PointCache:
         self,
         scenario: Scenario,
         cfg: Mapping[str, Any],
-        reference: Optional[bool] = None,
         model_reference: Optional[bool] = None,
     ) -> tuple[str, Optional[dict[str, float]]]:
         """``(key, stored values or None)`` for one bound point."""
-        key = point_key(scenario, cfg, reference, model_reference)
+        key = point_key(scenario, cfg, model_reference)
         values = self.get(scenario.name, key)
         if values is not None:
             self.hits += 1
@@ -353,8 +335,8 @@ class TimingStore:
     so its key deliberately *excludes* the code version and calibration:
     a commit does not change how long a point roughly takes, and a
     stale estimate only costs dispatch-order quality, never
-    correctness. Engine/model modes are included (the reference loops
-    are much slower). Entries are keyed by the first 16 hex chars and
+    correctness. The model mode is included (the reference model is
+    much slower). Entries are keyed by the first 16 hex chars and
     capped at ``max_entries``, evicting least-recently-updated first.
     """
 
@@ -368,17 +350,13 @@ class TimingStore:
         self,
         scenario: Scenario,
         cfg: Mapping[str, Any],
-        reference: Optional[bool] = None,
         model_reference: Optional[bool] = None,
     ) -> str:
-        if reference is None:
-            reference = engine.REFERENCE_MODE
         if model_reference is None:
             model_reference = modelmode.REFERENCE_MODE
         return _hash_request({
             "scenario": scenario.name,
             "cfg": dict(cfg),
-            "reference_engine": bool(reference),
             "reference_model": bool(model_reference),
         })
 

@@ -9,11 +9,11 @@ count, completion order, dispatch order, or caching. That is the
 determinism contract the golden-series tests pin down (see
 ``docs/EXPERIMENTS.md``).
 
-Workers receive only ``(scenario_name, point_index, cfg, reference,
+Workers receive only ``(scenario_name, point_index, cfg,
 model_reference, collect_metrics)``: the scenario is re-resolved from
-the registry on the worker side, and the parent's engine/model modes
-are re-applied explicitly so sweeps behave identically under both loops
-and any start method. ``collect_metrics`` additionally flips the
+the registry on the worker side, and the parent's model mode is
+re-applied explicitly so sweeps behave identically under any start
+method. ``collect_metrics`` additionally flips the
 telemetry layer (:mod:`repro.obs`) on around the point and ships the
 registry snapshot back as a **non-canonical** extra on the point row —
 telemetry never touches canonical bytes.
@@ -42,7 +42,6 @@ from typing import Any, Callable, Mapping, Optional, Union
 
 import repro.modelmode as modelmode
 import repro.obs as obs
-import repro.sim.engine as engine
 from repro.analysis.series import Series
 from repro.experiments.pool import SweepPool, shared_pool
 from repro.experiments.registry import get_scenario
@@ -177,14 +176,12 @@ def _run_point_task(task: tuple) -> tuple[int, dict[str, float], float, Optional
     ``(index, values, elapsed_s, metrics)`` so the parent can record
     per-point cost for straggler reporting and (when requested) the
     point's telemetry snapshot."""
-    name, idx, cfg, reference, model_reference, collect = task
-    prev = engine.set_reference_mode(reference)
+    name, idx, cfg, model_reference, collect = task
     prev_model = modelmode.set_model_reference(model_reference)
     try:
         values, dt, snap = _execute_point(name, cfg, collect)
         return idx, values, dt, snap
     finally:
-        engine.set_reference_mode(prev)
         modelmode.set_model_reference(prev_model)
 
 
@@ -214,7 +211,7 @@ def dispatch_tasks(
     capped at the task count so narrow grids never fork idle workers."""
     if (pool.workers if pool is not None else workers) == 1 or len(tasks) <= 1:
         def _serial():
-            for _, i, cfg, _, _, collect in tasks:
+            for _, i, cfg, _, collect in tasks:
                 values, dt, snap = _execute_point(sc, cfg, collect)
                 yield i, values, dt, snap
         return None, _serial()
@@ -280,9 +277,8 @@ def run_sweep(
     sc = sc.with_overrides(overrides, seed=seed)
     points = sc.points()
     total = len(points)
-    # Workers re-apply both the parent's engine mode and its model-
-    # protocol mode, so sweeps behave identically under any start method.
-    reference = engine.REFERENCE_MODE
+    # Workers re-apply the parent's model-protocol mode, so sweeps
+    # behave identically under any start method.
     model_reference = modelmode.REFERENCE_MODE
 
     t0 = time.perf_counter()
@@ -293,7 +289,7 @@ def run_sweep(
     if point_cache is not None:
         for i, cfg in enumerate(points):
             cache_keys[i], hit = point_cache.lookup(
-                sc, cfg, reference=reference, model_reference=model_reference
+                sc, cfg, model_reference=model_reference
             )
             if hit is not None:
                 results[i] = hit
@@ -301,14 +297,13 @@ def run_sweep(
 
     pending = [i for i in range(total) if results[i] is None]
     tasks = [
-        (sc.name, i, points[i], reference, model_reference, collect_metrics)
+        (sc.name, i, points[i], model_reference, collect_metrics)
         for i in pending
     ]
     cost_keys: dict[int, str] = {}
     if timings is not None:
         cost_keys = {
-            i: timings.key(sc, points[i], reference=reference,
-                           model_reference=model_reference)
+            i: timings.key(sc, points[i], model_reference=model_reference)
             for i in pending
         }
 

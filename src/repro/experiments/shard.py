@@ -10,8 +10,8 @@ complete shard set into a :class:`SweepResult` whose
 run**.
 
 The manifest carries everything needed to make merging safe: the
-scenario request (grid, defaults, seed), the engine/model modes the
-shard ran under, and the full :func:`~repro.experiments.cache.request_key`
+scenario request (grid, defaults, seed), the model mode the shard
+ran under, and the full :func:`~repro.experiments.cache.request_key`
 — which also fingerprints the code version and calibration profile.
 :func:`merge_shards` refuses mismatched shards (different seeds, modes,
 grids, shard counts, duplicate or missing shards) and refuses shard
@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments.cache import request_key
 from repro.experiments.driver import SweepResult, dispatch_tasks
 from repro.experiments.pool import SweepPool
@@ -102,13 +101,12 @@ def run_shard(
     sc = sc.with_overrides(overrides, seed=seed)
     points = sc.points()
     mine = shard_indices(len(points), index, count)
-    reference = engine.REFERENCE_MODE
     model_reference = modelmode.REFERENCE_MODE
 
     t0 = time.perf_counter()
     results: dict[int, dict[str, float]] = {}
     elapsed: dict[int, float] = {}
-    tasks = [(sc.name, j, points[j], reference, model_reference, False) for j in mine]
+    tasks = [(sc.name, j, points[j], model_reference, False) for j in mine]
     _, stream = dispatch_tasks(sc, tasks, workers, pool)
     for j, values, dt, _snap in stream:
         results[j] = values
@@ -119,9 +117,8 @@ def run_shard(
         "scenario": sc.name,
         "shard_index": index,
         "shard_count": count,
-        "request_key": request_key(sc, reference, model_reference),
+        "request_key": request_key(sc, model_reference),
         "seed": sc.seed,
-        "reference_engine": reference,
         "reference_model": model_reference,
         "grid": {k: list(v) for k, v in sc.grid.items()},
         "defaults": dict(sc.defaults),
@@ -171,7 +168,6 @@ _CONSISTENT_FIELDS = (
     "scenario",
     "shard_count",
     "seed",
-    "reference_engine",
     "reference_model",
     "grid",
     "defaults",
@@ -235,9 +231,7 @@ def merge_shards(dirs: Sequence[Path]) -> SweepResult:
         defaults=dict(first["defaults"]),
         seed=int(first["seed"]),
     )
-    expected = request_key(
-        sc, first["reference_engine"], first["reference_model"]
-    )
+    expected = request_key(sc, first["reference_model"])
     if expected != first["request_key"]:
         raise ShardError(
             f"request-key mismatch for {sc.name!r}: the shards were "

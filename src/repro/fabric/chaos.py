@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments.driver import SweepResult
 from repro.fabric.coordinator import FleetCoordinator
 from repro.fabric.protocol import FleetError
@@ -83,7 +82,6 @@ def run_chaos_fleet(
     overrides: Optional[Mapping[str, Any]] = None,
     *,
     seed: Optional[int] = None,
-    reference: Optional[bool] = None,
     model_reference: Optional[bool] = None,
     journal_path: Optional[Path] = None,
     cache_dir: Optional[Path] = None,
@@ -127,7 +125,7 @@ def run_chaos_fleet(
     def make_coordinator(port: int, chaos) -> FleetCoordinator:
         return FleetCoordinator(
             scenario, overrides, seed=seed, port=port,
-            reference=reference, model_reference=model_reference,
+            model_reference=model_reference,
             config=config, journal_path=journal_path, cache_dir=cache_dir,
             no_worker_timeout_s=no_worker_timeout_s, linger_s=linger_s,
             chaos=chaos,
@@ -165,11 +163,10 @@ def run_chaos_fleet(
     timer.start()
     restarts = 0
     # Worker threads run points in-process, and _run_point_task's
-    # save/set/restore of the process-global reference modes races
-    # between threads — harmless during the run (every worker sets the
-    # same values) but able to *leak* the fleet's modes past it. Pin
-    # the entry state and force-restore once every thread is joined.
-    prev_reference = engine.REFERENCE_MODE
+    # save/set/restore of the process-global model mode races between
+    # threads — harmless during the run (every worker sets the same
+    # value) but able to *leak* the fleet's mode past it. Pin the entry
+    # state and force-restore once every thread is joined.
     prev_model_reference = modelmode.REFERENCE_MODE
     try:
         while True:
@@ -206,7 +203,6 @@ def run_chaos_fleet(
         for t in fleet.threads:
             t.join(timeout=10.0)
         leaked = [t.name for t in fleet.threads if t.is_alive()]
-        engine.set_reference_mode(prev_reference)
         modelmode.set_model_reference(prev_model_reference)
         if leaked and sys.exc_info()[0] is None:
             # Never mask a real failure in flight; but a quiet leak

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments.cache import (
     PointCache,
     load_cached,
@@ -75,8 +74,8 @@ class FleetCoordinator:
     socket_path: unix socket path to listen on.
     host: TCP bind address (loopback by default — the fleet protocol
         has no authentication).
-    reference / model_reference: engine/model modes for the sweep;
-        None pins the coordinator process's current modes.
+    model_reference: model mode for the sweep; None pins the
+        coordinator process's current mode.
     config: tracker tuning (:class:`TrackerConfig`).
     journal_path: where accepted points are journaled; an existing
         journal with a matching request key is resumed. None disables
@@ -103,7 +102,6 @@ class FleetCoordinator:
         port: Optional[int] = None,
         socket_path: Optional[Path] = None,
         host: str = "127.0.0.1",
-        reference: Optional[bool] = None,
         model_reference: Optional[bool] = None,
         config: Optional[TrackerConfig] = None,
         journal_path: Optional[Path] = None,
@@ -119,13 +117,10 @@ class FleetCoordinator:
         self.scenario: Scenario = sc.with_overrides(
             dict(overrides) if overrides else None, seed=seed
         )
-        self.reference = (engine.REFERENCE_MODE if reference is None
-                          else bool(reference))
         self.model_reference = (modelmode.REFERENCE_MODE
                                 if model_reference is None
                                 else bool(model_reference))
-        self.key = request_key(self.scenario, self.reference,
-                               self.model_reference)
+        self.key = request_key(self.scenario, self.model_reference)
         self.points = self.scenario.points()
         self.total = len(self.points)
         self.host = host
@@ -224,8 +219,7 @@ class FleetCoordinator:
                 if self._results[index] is not None:
                     continue
                 _, hit = self.point_cache.lookup(
-                    self.scenario, cfg, reference=self.reference,
-                    model_reference=self.model_reference)
+                    self.scenario, cfg, model_reference=self.model_reference)
                 if hit is not None:
                     self.tracker.prefill(index, hit)
                     self._results[index] = hit
@@ -385,7 +379,7 @@ class FleetCoordinator:
                   worker=msg["worker"], capacity=msg["capacity"])
         return protocol.registered_reply(
             msg["worker"], self.scenario, self.key,
-            self.reference, self.model_reference, self.total,
+            self.model_reference, self.total,
         )
 
     def _frame_heartbeat(self, msg: dict[str, Any]) -> dict[str, Any]:
@@ -505,7 +499,6 @@ class FleetCoordinator:
             for index in self.tracker.accepted:
                 key, hit = self.point_cache.lookup(
                     self.scenario, self.points[index],
-                    reference=self.reference,
                     model_reference=self.model_reference)
                 if hit is None:
                     self.point_cache.store(self.scenario.name, key,

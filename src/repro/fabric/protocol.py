@@ -19,8 +19,7 @@ Worker → coordinator frames (``type`` selects)::
 Coordinator → worker replies::
 
     {"type": "registered", "worker": "w0", "scenario": {...spec...},
-     "request_key": "...", "reference": bool, "model_reference": bool,
-     "total": N}
+     "request_key": "...", "model_reference": bool, "total": N}
     {"type": "lease", "points": [{"index": 3, "cfg": {...}}, ...]}
     {"type": "ok"}                     # heartbeat noted, nothing to run
     {"type": "ok", "accepted": bool}   # result acknowledged
@@ -153,7 +152,6 @@ def registered_reply(
     worker: str,
     sc,
     request_key: str,
-    reference: bool,
     model_reference: bool,
     total: int,
 ) -> dict[str, Any]:
@@ -163,7 +161,6 @@ def registered_reply(
         "worker": worker,
         "scenario": scenario_spec(sc),
         "request_key": request_key,
-        "reference": bool(reference),
         "model_reference": bool(model_reference),
         "total": total,
     }

@@ -3,7 +3,7 @@
 A worker is a deliberately thin client around the repo's existing
 point machinery: every leased point runs through the same
 ``_run_point_task`` the multiprocessing pool uses, with the
-coordinator's engine/model reference modes applied around it — so the
+coordinator's model reference mode applied around it — so the
 values a worker produces are bit-identical to a serial sweep on the
 same code.
 
@@ -109,7 +109,6 @@ class FleetWorker:
         self._rng = rng
         self.point_cache = PointCache(Path(cache_dir)) if cache_dir else None
         self._sc: Optional[Scenario] = None
-        self._reference = False
         self._model_reference = False
         self._key: Optional[str] = None
         self._silences_done: set[int] = set()
@@ -228,7 +227,6 @@ class FleetWorker:
             raise ProtocolError(
                 f"expected 'registered' reply, got {reply.get('type')!r}")
         spec = reply["scenario"]
-        self._reference = bool(reply["reference"])
         self._model_reference = bool(reply["model_reference"])
         try:
             base = get_scenario(spec["name"])
@@ -240,8 +238,7 @@ class FleetWorker:
                 f"{spec.get('name')!r} from the coordinator's spec "
                 f"({exc}); worker code is too old for this sweep"
             ) from exc
-        self._key = request_key(self._sc, self._reference,
-                                self._model_reference)
+        self._key = request_key(self._sc, self._model_reference)
         if self._key != reply["request_key"]:
             raise FleetError(
                 f"worker {self.name}: request key mismatch — coordinator "
@@ -287,14 +284,12 @@ class FleetWorker:
         assert self._sc is not None
         if self.point_cache is not None:
             key, hit = self.point_cache.lookup(
-                self._sc, cfg, reference=self._reference,
-                model_reference=self._model_reference)
+                self._sc, cfg, model_reference=self._model_reference)
             if hit is not None:
                 self.report["cache_hits"] += 1
                 return hit, 0.0
         _, values, elapsed, _ = _run_point_task((
-            self._sc.name, index, cfg,
-            self._reference, self._model_reference, False,
+            self._sc.name, index, cfg, self._model_reference, False,
         ))
         if self.point_cache is not None:
             self.point_cache.store(self._sc.name, key, values)

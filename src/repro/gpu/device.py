@@ -75,7 +75,7 @@ class GPUDevice:
             raise ValueError("compute_s must be non-negative")
         with self._exec.request() as req:
             yield req
-            yield self.env.pooled_timeout(self.spec.kernel_launch_s + compute_s)
+            yield self.env.timeout(self.spec.kernel_launch_s + compute_s)
         self.busy_s += compute_s
 
     def stage_in(self, nbytes: float) -> Generator:

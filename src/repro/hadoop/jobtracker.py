@@ -361,7 +361,7 @@ class JobTracker:
             while True:
                 # Serialized service time for every RPC the JobTracker
                 # handles.
-                yield self.env.pooled_timeout(service_s)
+                yield self.env.timeout(service_s)
                 if isinstance(msg, Heartbeat):
                     reply = self._handle_heartbeat(msg)
                     yield reply_box.put(reply)
@@ -744,7 +744,7 @@ class JobTracker:
                 delay = min(max(heap[0][0] - self.env.now, interval), timeout)
             else:
                 delay = interval
-            yield self.env.pooled_timeout(delay)
+            yield self.env.timeout(delay)
             self._check_liveness()
 
     def _check_liveness(self) -> None:

@@ -138,7 +138,7 @@ class MapKernel:
         """
         if self.backend is Backend.EMPTY:
             if lead_s > 0:
-                yield self.env.pooled_timeout(lead_s)
+                yield self.env.timeout(lead_s)
             return
         slow = self.node.speed_factor
         if self._runtime is not None:
@@ -154,6 +154,6 @@ class MapKernel:
             # Reference model: the launch delay stays its own event, so
             # the pre-overhaul timeline is reproduced byte for byte.
             if lead_s > 0:
-                yield self.env.pooled_timeout(lead_s)
+                yield self.env.timeout(lead_s)
             yield self.env.composite_timeout(self._java_startup_delay(), seconds)
         self._record_busy(seconds)

@@ -138,7 +138,7 @@ class RecordReader:
             self.calib.recordreader_per_record_s
             + length / self.calib.recordreader_stream_bw
         )
-        yield self.env.pooled_timeout(software_s)
+        yield self.env.timeout(software_s)
         self.records_read += 1
         self.bytes_read += length
         self.remote_bytes += remote

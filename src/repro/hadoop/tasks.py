@@ -105,7 +105,7 @@ def run_map_task(
         launch_lead = calib.task_launch_s
     else:
         launch_lead = 0.0
-        yield env.pooled_timeout(calib.task_launch_s)
+        yield env.timeout(calib.task_launch_s)
 
     backend = conf.backend
     needs_missing_accel = (
@@ -217,7 +217,7 @@ def run_map_task(
             payload=b"".join(ciphertext_parts) if ciphertext_parts else None,
         )
 
-    yield env.pooled_timeout(calib.task_cleanup_s)
+    yield env.timeout(calib.task_cleanup_s)
     if attempt_span is not None:
         attempt_span.end(
             records=stats["records"], kernel_busy_s=stats["kernel_busy_s"]
@@ -287,7 +287,7 @@ def run_reduce_task(
         if tracing is not None
         else None
     )
-    yield env.pooled_timeout(calib.task_launch_s)
+    yield env.timeout(calib.task_launch_s)
     stats: dict[str, Any] = {"shuffle_bytes": 0.0, "output_bytes": 0.0, "kernel_busy_s": 0.0}
 
     nreduce = max(1, conf.num_reduce_tasks)
@@ -342,7 +342,7 @@ def run_reduce_task(
         )
         stats["output_bytes"] = out_bytes
 
-    yield env.pooled_timeout(calib.task_cleanup_s)
+    yield env.timeout(calib.task_cleanup_s)
     if attempt_span is not None:
         attempt_span.end(shuffle_bytes=stats["shuffle_bytes"])
     if ctx.tracer is not None:

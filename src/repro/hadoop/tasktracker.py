@@ -200,14 +200,14 @@ class TaskTracker:
         jitter_rng = self.jt.rng.stream(f"tt-jitter-{self.tracker_id}")
         interval = self.calib.heartbeat_interval_s
         # Desynchronize tracker phases like real daemon start-up does.
-        yield self.env.pooled_timeout(float(jitter_rng.uniform(0, interval)))
+        yield self.env.timeout(float(jitter_rng.uniform(0, interval)))
         while self.alive:
             if self._rejitter:
                 # Woken from a park by a demand signal: rejoin the
                 # heartbeat cadence at a fresh phase, like a restarted
                 # daemon, instead of synchronizing on the wake instant.
                 self._rejitter = False
-                yield self.env.pooled_timeout(float(jitter_rng.uniform(0, interval)))
+                yield self.env.timeout(float(jitter_rng.uniform(0, interval)))
                 continue
             if self._event_thin and self._may_skip_heartbeat():
                 # Park until poked, but never past the keepalive
@@ -245,7 +245,7 @@ class TaskTracker:
                 # waiting out its interval.
                 yield from self._interruptible_sleep(sleep_s, "resting")
             else:
-                yield self.env.pooled_timeout(sleep_s)
+                yield self.env.timeout(sleep_s)
 
     def _kill_attempt(self, kill: KillDirective) -> None:
         key = (kill.job_id, kill.kind, kill.task_id, kill.attempt)

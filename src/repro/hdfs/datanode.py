@@ -81,7 +81,7 @@ class DataNode:
         The hot serving chain — xceiver slot, disk read, loopback/NIC
         transfer — is the per-record path the paper measured, so the
         common case (a free stream slot) claims the slot synchronously;
-        the disk and network stages then run as single pooled events when
+        the disk and network stages then run as single timeout events when
         their channels are idle. The stages stay individually contended:
         collapsing disk+network into one composite event would hide the
         mid-transfer arrival of other readers (see docs/PERFORMANCE.md).

@@ -202,4 +202,4 @@ class NameNode:
 
     def rpc(self) -> Generator:
         """Process: charge one metadata RPC round trip."""
-        yield self.env.pooled_timeout(RPC_LATENCY_S)
+        yield self.env.timeout(RPC_LATENCY_S)

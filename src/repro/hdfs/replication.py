@@ -97,5 +97,5 @@ class ReplicationManager:
 
     def _scan_loop(self) -> Generator:
         while True:
-            yield self.env.pooled_timeout(self.scan_interval_s)
+            yield self.env.timeout(self.scan_interval_s)
             yield from self.repair_all()

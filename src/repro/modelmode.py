@@ -1,10 +1,8 @@
 """Model-layer protocol mode (the hadoop/cell *model*, not the engine).
 
-PR 1 introduced ``REPRO_SIM_REFERENCE`` to switch the simulation
-*kernel* between the optimized and the pre-overhaul event loop — both
-trace-identical. This module is the same idea one layer up, for changes
-that make the simulated *cluster protocol* event-thin and therefore
-cannot be trace-identical:
+This module selects between two versions of the simulated *cluster
+protocol*. The default is event-thin and therefore not trace-identical
+to the pre-overhaul protocol it replaced:
 
 - **event-thin heartbeats** — a TaskTracker with no free slots, no
   completions, and no local state change parks instead of emitting
@@ -28,9 +26,9 @@ serialized JobTracker, out-of-band wakeup heartbeats) and the golden
 series are frozen under it; see ``docs/PERFORMANCE.md`` ("Model-layer
 performance") for the elision contract and the measured drift.
 
-Like the engine flag, this is a *default for new clusters*: the
-JobTracker samples it at construction time, so a running simulation
-never changes protocol mid-flight.
+The mode is a *default for new clusters*: the JobTracker samples it
+at construction time, so a running simulation never changes protocol
+mid-flight.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Process-wide telemetry: the ``repro.obs`` observability layer.
 
-Mirrors the dual-reference-mode discipline (`repro.sim.engine`
-reference mode, `repro.modelmode`): one module-level switch, sampled by
+Mirrors the reference-model discipline (`repro.modelmode`): one
+module-level switch, sampled by
 instrumented objects **at construction time**, with a
 ``set_obs(enabled) -> previous`` toggle for scoped flips. Hot paths
 pre-sample the switch into a handle-or-``None`` attribute so the
@@ -10,12 +10,11 @@ instrumented object is never even attached.
 
 The contract that makes telemetry safe to leave wired in everywhere:
 **observation never perturbs canonical bytes.** Samplers only read
-simulation state and yield plain ``env.timeout`` delays (never pooled
-timeouts, which could be shared with model events); counters are
-flushed from already-maintained model tallies after ``env.run``
+simulation state and yield plain ``env.timeout`` delays; counters
+are flushed from already-maintained model tallies after ``env.run``
 returns. Golden series and sweep sha256 parity hold byte-identical
 with everything enabled — ``tests/obs/test_transparency.py`` pins it
-in all four engine x model mode combinations.
+under both model modes.
 
 Environment:
 
@@ -74,7 +73,7 @@ def set_obs(on: bool) -> bool:
     """Flip metric collection; returns the previous setting.
 
     Pair with a ``finally`` restore, exactly like
-    ``engine.set_reference_mode`` / ``modelmode.set_model_reference``.
+    ``modelmode.set_model_reference``.
     """
     global ENABLED
     previous = ENABLED

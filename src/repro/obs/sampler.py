@@ -4,9 +4,8 @@ Two complementary mechanisms, both guaranteed not to perturb canonical
 bytes:
 
 - :func:`attach_sampler` spawns a **passive** process inside the
-  simulation that wakes on plain ``env.timeout`` delays (never pooled
-  timeouts, which could be shared with model events), reads cluster
-  state, and records (virtual_time, value) samples into
+  simulation that wakes on plain ``env.timeout`` delays, reads
+  cluster state, and records (virtual_time, value) samples into
   :class:`~repro.obs.metrics.Timeseries` instruments. It consumes no
   resources, uses no randomness, and schedules nothing but its own
   tick — event times of every model process are unchanged, only their

@@ -20,7 +20,7 @@ The shared pick helpers in this module reproduce, decision for
 decision, the FIFO + locality + straggler-speculation logic that used to
 live inline in ``JobTracker._handle_heartbeat`` — the byte-identity of
 :class:`~repro.sched.fifo.FifoScheduler` with the pre-refactor engine
-(golden tests, both engine modes) rests on them.
+(golden tests) rests on them.
 """
 
 from __future__ import annotations

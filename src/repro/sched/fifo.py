@@ -5,7 +5,7 @@ strictly in submission order, each job filling every slot it can
 (locality-first within the job, straggler speculation only once its
 queue is dry) before the next job sees a single slot. This is the
 policy behind every paper figure, and its decision stream is pinned
-byte-identically by the golden-series tests in both engine modes.
+byte-identically by the golden-series tests.
 """
 
 from __future__ import annotations

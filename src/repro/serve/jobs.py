@@ -1,7 +1,7 @@
 """The daemon's job table: admission, coalescing, lifecycle, fan-out.
 
 A :class:`Job` is one admitted computation — a bound scenario plus the
-engine/model modes it will run under, identified by the canonical
+model mode it will run under, identified by the canonical
 :func:`~repro.experiments.cache.request_key`. The :class:`JobTable`
 admits requests through an
 :class:`~repro.experiments.cache.InflightRegistry`: a submit whose key
@@ -36,7 +36,6 @@ from queue import SimpleQueue
 from typing import Any, Callable, Mapping, Optional
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments.cache import InflightRegistry, request_key
 from repro.experiments.registry import get_scenario
 from repro.experiments.scenario import Scenario
@@ -64,17 +63,16 @@ TERMINAL_STATES = frozenset({DONE, CANCELLED, FAILED})
 
 @dataclass(frozen=True)
 class JobRequest:
-    """One submit, as data: scenario name, overrides, seed, modes.
+    """One submit, as data: scenario name, overrides, seed, model mode.
 
-    ``reference_engine``/``reference_model`` of None mean "whatever mode
-    the daemon process is in" — resolved once at admission so the job's
-    request key is stable even if the daemon's modes were to change.
+    ``reference_model`` of None means "whatever mode the daemon process
+    is in" — resolved once at admission so the job's request key is
+    stable even if the daemon's mode were to change.
     """
 
     scenario: str
     overrides: Mapping[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
-    reference_engine: Optional[bool] = None
     reference_model: Optional[bool] = None
 
     def bind(self) -> Scenario:
@@ -84,12 +82,10 @@ class JobRequest:
             dict(self.overrides) or None, seed=self.seed
         )
 
-    def modes(self) -> tuple[bool, bool]:
-        ref = (engine.REFERENCE_MODE if self.reference_engine is None
-               else self.reference_engine)
-        mref = (modelmode.REFERENCE_MODE if self.reference_model is None
-                else self.reference_model)
-        return bool(ref), bool(mref)
+    def model_mode(self) -> bool:
+        """The resolved model mode: the pinned one, else the daemon's."""
+        return bool(modelmode.REFERENCE_MODE if self.reference_model is None
+                    else self.reference_model)
 
 
 class Job:
@@ -107,7 +103,7 @@ class Job:
         self.request = request
         self.scenario = scenario
         self.key = key
-        self.reference_engine, self.reference_model = request.modes()
+        self.reference_model = request.model_mode()
         self.state = QUEUED
         self.total = len(scenario.points())
         self.done = 0
@@ -326,8 +322,7 @@ class JobTable:
         admission rejects what execution could never run.
         """
         sc = request.bind()
-        ref, mref = request.modes()
-        key = request_key(sc, ref, mref)
+        key = request_key(sc, request.model_mode())
 
         def factory() -> Job:
             with self._lock:

@@ -9,8 +9,7 @@ terminal event. Line framing keeps the protocol trivially debuggable
 Requests (``verb`` selects the operation)::
 
     {"verb": "submit", "scenario": "fig8", "overrides": {"nodes": [2,4]},
-     "seed": 1234, "reference_engine": false, "reference_model": false,
-     "detach": false}
+     "seed": 1234, "reference_model": false, "detach": false}
     {"verb": "status"}                  # all jobs
     {"verb": "status", "job": "job-000001"}
     {"verb": "cancel", "job": "job-000001"}
@@ -43,10 +42,11 @@ checked end to end with ``cmp``. Every client attached to one job
 
 Overrides travel as the same ``key -> [values]`` / ``key -> value``
 shapes ``--grid`` parses into; the server binds them with
-:meth:`Scenario.with_overrides`, which casts and validates. Engine and
-model reference modes may be pinned per request (``null`` means "the
-daemon's own mode"); grid points re-apply them inside the worker
-processes, so one daemon serves all four mode combinations at once.
+:meth:`Scenario.with_overrides`, which casts and validates. The model
+reference mode may be pinned per request (``null`` means "the daemon's
+own mode"); grid points re-apply it inside the worker processes, so one
+daemon serves both model modes at once. Unknown request fields are
+ignored.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ def submit_request(
     overrides: Optional[Mapping[str, Any]] = None,
     *,
     seed: Optional[int] = None,
-    reference_engine: Optional[bool] = None,
     reference_model: Optional[bool] = None,
     detach: bool = False,
 ) -> dict[str, Any]:
@@ -94,8 +93,6 @@ def submit_request(
         }
     if seed is not None:
         msg["seed"] = int(seed)
-    if reference_engine is not None:
-        msg["reference_engine"] = bool(reference_engine)
     if reference_model is not None:
         msg["reference_model"] = bool(reference_model)
     if detach:
@@ -139,7 +136,6 @@ def parse_request(msg: Mapping[str, Any]) -> dict[str, Any]:
         if seed is not None and not isinstance(seed, int):
             raise ProtocolError("submit: 'seed' must be an integer or null")
         out["seed"] = seed
-        out["reference_engine"] = _optional_bool(msg, "reference_engine")
         out["reference_model"] = _optional_bool(msg, "reference_model")
         detach = msg.get("detach", False)
         if not isinstance(detach, bool):

@@ -16,14 +16,14 @@ Correctness properties, in order of importance:
   :func:`~repro.experiments.driver.build_result` path offline sweeps
   use, from per-point values computed by the same worker-side task
   function — so it is byte-identical to ``repro sweep`` output by
-  construction, at any concurrency, in any engine/model mode.
+  construction, at any concurrency, in either model mode.
 - **Coalescing.** Admission goes through the job table's in-flight
   registry: concurrent submits with one canonical request key execute
   the grid once; every attached client receives the same payload.
 - **Isolation.** Grid points always run in pool worker processes, and
-  each task re-applies its job's engine/model modes around the point
-  (exactly as parallel sweeps do), so concurrent jobs in different
-  modes never perturb each other or the daemon process.
+  each task re-applies its job's model mode around the point (exactly
+  as parallel sweeps do), so concurrent jobs in different modes never
+  perturb each other or the daemon process.
 - **Prompt cancellation.** Points are dispatched in waves of at most
   ``workers`` in-flight tasks (``apply_async``, not a bulk ``imap``),
   so a cancelled job stops consuming the pool after the current wave.
@@ -124,7 +124,7 @@ class ReproServer:
         self._lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
         self._threads: set[threading.Thread] = set()
-        self._draining = False
+        self._shutting_down = False
         self._done = threading.Event()
         self._started_at: Optional[float] = None
         self.points_executed = 0
@@ -209,9 +209,9 @@ class ReproServer:
         leaves no worker processes behind.
         """
         with self._lock:
-            if self._draining:
+            if self._shutting_down:
                 return
-            self._draining = True
+            self._shutting_down = True
         self._close_listener()
         if mode == "now":
             for job in self.table.active():
@@ -393,14 +393,13 @@ class ReproServer:
 
     def _handle_submit(self, msg, send) -> None:
         with self._lock:
-            if self._draining:
+            if self._shutting_down:
                 send({"event": "error", "message": "server is shutting down"})
                 return
         request = JobRequest(
             scenario=msg["scenario"],
             overrides=msg.get("overrides") or {},
             seed=msg.get("seed"),
-            reference_engine=msg.get("reference_engine"),
             reference_model=msg.get("reference_model"),
         )
         try:
@@ -455,7 +454,7 @@ class ReproServer:
 
     def _run_job(self, job: Job) -> None:
         sc = job.scenario
-        ref, mref = job.reference_engine, job.reference_model
+        mref = job.reference_model
         if self.cache_dir is not None:
             cached = load_cached(self.cache_dir, sc, job.key)
             if cached is not None:
@@ -482,7 +481,7 @@ class ReproServer:
         if self.point_cache is not None:
             for i, cfg in enumerate(points):
                 cache_keys[i], hit = self.point_cache.lookup(
-                    sc, cfg, reference=ref, model_reference=mref
+                    sc, cfg, model_reference=mref
                 )
                 if hit is not None:
                     results[i] = hit
@@ -490,12 +489,11 @@ class ReproServer:
             job.note_cached(cached_n)
 
         pending = [i for i in range(total) if results[i] is None]
-        tasks = [(sc.name, i, points[i], ref, mref, False) for i in pending]
+        tasks = [(sc.name, i, points[i], mref, False) for i in pending]
         cost_keys: dict[int, str] = {}
         if self.timings is not None:
             cost_keys = {
-                i: self.timings.key(sc, points[i], reference=ref,
-                                    model_reference=mref)
+                i: self.timings.key(sc, points[i], model_reference=mref)
                 for i in pending
             }
             tasks = _order_tasks(

@@ -22,7 +22,7 @@ Public surface:
 - :class:`~repro.sim.trace.Tracer` — structured event tracing.
 """
 
-from repro.sim.engine import Environment, SimulationError, set_reference_mode
+from repro.sim.engine import Environment, SimulationError
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -55,5 +55,4 @@ __all__ = [
     "Store",
     "TraceRecord",
     "Tracer",
-    "set_reference_mode",
 ]

@@ -7,28 +7,19 @@ reproduction benchmarks (same seed, same schedule, same numbers).
 
 Engine internals (see ``docs/PERFORMANCE.md`` for the full contract):
 
-- :meth:`Environment.run` inlines the pop-advance-dispatch cycle with
-  local-variable binding, and has a dedicated fast path for the dominant
-  event class (a :class:`Timeout` resuming a single waiting
-  :class:`Process`).
-- A :class:`Timeout` free-list (:meth:`pooled_timeout`) recycles timeout
-  objects on the hot paths where the yielded event is consumed
-  immediately and never stored.
+- :meth:`Environment.run` processes one event per :meth:`step` call;
+  every event class and every waiter goes through the same dispatch.
 - :meth:`composite_timeout` collapses a deterministic chain of pure
   delays into one event; :meth:`schedule_many` batch-pushes events and
   backs :meth:`start_processes`.
-- Reference mode (``reference=True``, :func:`set_reference_mode`, or
-  ``REPRO_SIM_REFERENCE=1``) runs the pre-overhaul ``step()``-per-event
-  loop without pooling or fast dispatch. Both modes must produce
-  identical ``(time, priority, seq, event-class)`` traces — the
-  determinism tests and ``benchmarks/run_perf.py`` assert exactly that.
+- :meth:`capture_trace` records the ``(time, priority, seq,
+  event-class)`` trace; ``tests/sim/data/frozen_traces.json`` pins its
+  sha256 for fixed programs, and ``benchmarks/run_perf.py`` checks it.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
-from types import MethodType
 from typing import Any, Generator, Iterable, Optional
 
 from repro.sim.events import (
@@ -42,27 +33,10 @@ from repro.sim.events import (
     Timeout,
 )
 
-__all__ = ["Environment", "SimulationError", "set_reference_mode"]
+__all__ = ["Environment", "SimulationError"]
 
-#: Default engine mode for new Environments. True selects the reference
-#: (pre-overhaul) loop; settable via the REPRO_SIM_REFERENCE env var or
-#: :func:`set_reference_mode`.
-REFERENCE_MODE = os.environ.get("REPRO_SIM_REFERENCE", "0") not in ("", "0")
-
-#: Upper bound on the Timeout free-list, to keep memory bounded when a
-#: burst of concurrent timeouts drains at once.
-_TIMEOUT_POOL_MAX = 1024
-
-
-def set_reference_mode(enabled: bool) -> bool:
-    """Set the default engine mode for *new* Environments.
-
-    Returns the previous default, so callers can restore it.
-    """
-    global REFERENCE_MODE
-    previous = REFERENCE_MODE
-    REFERENCE_MODE = bool(enabled)
-    return previous
+#: There is one event loop; ``perfbench/run.py`` records this constant.
+REFERENCE_MODE = False
 
 
 class SimulationError(RuntimeError):
@@ -93,10 +67,6 @@ class Environment:
     initial_time:
         Starting value of the virtual clock (seconds by convention
         throughout this project).
-    reference:
-        ``True`` forces the reference (pre-overhaul) event loop,
-        ``False`` the optimized one; ``None`` uses the module default
-        (:data:`REFERENCE_MODE`). Both loops are trace-identical.
 
     Notes
     -----
@@ -108,14 +78,12 @@ class Environment:
     URGENT = Environment_URGENT
     NORMAL = Environment_NORMAL
 
-    def __init__(self, initial_time: float = 0.0, reference: Optional[bool] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_proc: Optional[Process] = None
         self._processed_count = 0
-        self._reference = REFERENCE_MODE if reference is None else bool(reference)
-        self._timeout_pool: list[Timeout] = []
         self._trace: Optional[list[tuple[float, int, int, str]]] = None
         self._until_flag: Optional[_StopFlag] = _StopFlag()
 
@@ -135,19 +103,14 @@ class Environment:
         """Total number of events processed so far (monitoring aid)."""
         return self._processed_count
 
-    @property
-    def is_reference(self) -> bool:
-        """True when this environment runs the reference event loop."""
-        return self._reference
-
     # -- event tracing -----------------------------------------------------------
     def capture_trace(self, sink: Optional[list] = None) -> list:
         """Record ``(time, priority, seq, event-class-name)`` per processed
         event into ``sink`` (a fresh list if omitted) and return it.
 
-        The trace is the engine's determinism contract: the reference and
-        optimized loops must produce identical traces for the same
-        program. Tracing costs one branch per event when enabled.
+        The trace is the engine's determinism contract: the same program
+        must always produce the same trace. Tracing costs one branch per
+        event.
         """
         self._trace = [] if sink is None else sink
         return self._trace
@@ -165,48 +128,19 @@ class Environment:
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
-    def pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A recycled :class:`Timeout` from the engine's free-list.
-
-        Contract: the returned event must be yielded immediately and
-        never stored, composed (``AllOf``/``AnyOf``), or inspected after
-        it resumes the waiter — the engine reclaims the object as soon as
-        its callbacks have run. Internal hot paths (pipes, heartbeat
-        sleeps, service delays) use this; general code should call
-        :meth:`timeout`. In reference mode this degrades to a plain
-        :meth:`timeout` so both engine modes stay trace-identical while
-        the reference loop keeps the pre-overhaul allocation behaviour.
-        """
-        pool = self._timeout_pool
-        if pool:  # never populated in reference mode
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            t = pool.pop()
-            t.delay = delay
-            t._value = value
-            t._processed = False
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self._now + delay, Environment_NORMAL, seq, t))
-            return t
-        t = Timeout(self, delay, value)
-        if not self._reference:
-            t._recycle = True
-        return t
-
     def composite_timeout(self, *delays: float, value: Any = None) -> Timeout:
         """One event covering a chain of deterministic delay phases.
 
         Collapses ``timeout(d1); timeout(d2); ...`` — a multi-phase
         compute chain with nothing observing the phase boundaries — into
-        a single scheduled event. Subject to the :meth:`pooled_timeout`
-        contract (yield immediately, do not store).
+        a single scheduled event.
         """
         total = 0.0
         for d in delays:
             if d < 0:
                 raise ValueError(f"negative timeout delay: {d}")
             total += d
-        return self.pooled_timeout(total, value)
+        return Timeout(self, total, value)
 
     def process(self, gen: Generator, name: Optional[str] = None, start: bool = True) -> Process:
         """Start a new process from generator ``gen``.
@@ -261,7 +195,7 @@ class Environment:
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (the reference dispatch path).
+        """Process exactly one event.
 
         Raises
         ------
@@ -284,11 +218,6 @@ class Environment:
         if event._exc is not None and not event._defused:
             # Unhandled failure: nobody waited on this event.
             raise event._exc
-        if event.__class__ is Timeout and event._recycle:
-            event._value = None
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                pool.append(event)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -301,160 +230,19 @@ class Environment:
             an :class:`Event` — run until that event is processed and
             return its value.
         """
-        if self._reference:
-            return self._run_reference(until)
-
-        if until is None:
-            self._drain(float("inf"), None)
-            return None
-
-        if isinstance(until, Event):
-            target = until
-            if target._processed:
-                return target._value if target._exc is None else _reraise(target._exc)
-            # Micro-fix: reuse one bound flag object instead of allocating
-            # a sentinel list + closure per call (nested runs fall back to
-            # a fresh flag).
-            flag = self._until_flag
-            if flag is None:
-                flag = _StopFlag()
-            else:
-                self._until_flag = None
-            flag.done = False
-            target.callbacks.append(flag)
-            try:
-                self._drain(float("inf"), flag)
-            finally:
-                if not flag.done:
-                    # Exceptional exit (propagated failure or the deadlock
-                    # below): unsubscribe before pooling the flag, or a
-                    # later run(until=...) could be stopped early by this
-                    # stale subscription firing.
-                    try:
-                        target.callbacks.remove(flag)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-                self._until_flag = flag
-            if not flag.done:
-                raise SimulationError(
-                    f"simulation ran out of events before {target!r} triggered "
-                    "(deadlock: a process is waiting on an event nobody will fire)"
-                )
-            return target._value if target._exc is None else _reraise(target._exc)
-
-        stop_at = float(until)
-        if stop_at < self._now:
-            raise SimulationError(f"run(until={stop_at}) is in the past (now={self._now})")
-        self._drain(stop_at, None)
-        self._now = stop_at
-        return None
-
-    # -- optimized inner loop ------------------------------------------------------
-    def _drain(self, stop_at: float, flag: Optional[_StopFlag]) -> None:
-        """Inlined pop-advance-dispatch cycle.
-
-        One loop serves all three ``run`` modes; everything hot is bound
-        to locals. Two nested fast paths handle the dominant traffic:
-
-        1. the dominant event class — a :class:`Timeout`, which is
-           triggered at construction and can never fail, so the failure
-           check is skipped and the free-list is fed;
-        2. the dominant waiter — a single :class:`Process` whose
-           generator is advanced right here (one ``send``, the fresh
-           Timeout it yields back subscribed inline), skipping the
-           generic callback-list iteration and the ``_resume`` call
-           frame. Anything unusual falls back to the shared slow paths
-           (``Process._resume`` / ``Process._after_yield``).
-
-        The dispatch order, clock updates, and failure propagation are
-        identical to :meth:`step` — the determinism tests compare full
-        event traces between the two loops.
-        """
         heap = self._heap
-        pop = heappop
-        pool = self._timeout_pool
-        pool_max = _TIMEOUT_POOL_MAX
-        timeout_cls = Timeout
-        method_cls = MethodType
-        resume_func = Process._resume
-        trace = self._trace  # bound once: enabling tracing mid-run is unsupported
-        processed = 0
-        try:
-            while heap:
-                t, prio, seq, event = pop(heap)
-                if t > stop_at:
-                    # Pop-then-push-back beats peeking every iteration:
-                    # this branch runs at most once per run() call.
-                    heappush(heap, (t, prio, seq, event))
-                    break
-                self._now = t
-                if trace is not None:
-                    trace.append((t, prio, seq, event.__class__.__name__))
-                processed += 1
-                event._processed = True
-                callbacks = event.callbacks
-                if event.__class__ is timeout_cls:
-                    if len(callbacks) == 1:
-                        cb = callbacks[0]
-                        callbacks.clear()  # reuse the list: event.callbacks stays valid
-                        if cb.__class__ is method_cls and cb.__func__ is resume_func:
-                            # Inline Process._resume's dominant leg.
-                            proc = cb.__self__
-                            if event is proc._target:  # else: stale wakeup, drop
-                                self._active_proc = proc
-                                proc._target = None
-                                try:
-                                    nxt = proc.gen.send(event._value)
-                                except StopIteration as stop:
-                                    self._active_proc = None
-                                    proc.succeed(stop.value)
-                                except BaseException as exc:
-                                    self._active_proc = None
-                                    proc.fail(exc)
-                                else:
-                                    if (
-                                        nxt.__class__ is timeout_cls
-                                        and not nxt._processed
-                                        and nxt.env is self
-                                    ):
-                                        nxt.callbacks.append(cb)
-                                        proc._target = nxt
-                                        self._active_proc = None
-                                    else:
-                                        proc._after_yield(nxt)
-                        else:
-                            cb(event)
-                    else:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    if event._recycle and len(pool) < pool_max:
-                        event._value = None
-                        pool.append(event)
-                else:
-                    event.callbacks = []
-                    for cb in callbacks:
-                        cb(event)
-                    exc = event._exc
-                    if exc is not None and not event._defused:
-                        raise exc
-                if flag is not None and flag.done:
-                    break
-        finally:
-            self._processed_count += processed
-
-    # -- reference loop -------------------------------------------------------------
-    def _run_reference(self, until: Any) -> Any:
-        """The pre-overhaul loop: one :meth:`step` call per event."""
+        step = self.step
         if until is None:
-            while self._heap:
-                self.step()
+            while heap:
+                step()
             return None
 
         if isinstance(until, Event):
             target = until
             if target._processed:
                 return target._value if target._exc is None else _reraise(target._exc)
+            # Reuse one bound flag object instead of allocating a
+            # sentinel closure per call (nested runs get a fresh flag).
             flag = self._until_flag
             if flag is None:
                 flag = _StopFlag()
@@ -464,14 +252,18 @@ class Environment:
             target.callbacks.append(flag)
             try:
                 while not flag.done:
-                    if not self._heap:
+                    if not heap:
                         raise SimulationError(
                             f"simulation ran out of events before {target!r} triggered "
                             "(deadlock: a process is waiting on an event nobody will fire)"
                         )
-                    self.step()
+                    step()
             finally:
                 if not flag.done:
+                    # Exceptional exit (propagated failure or deadlock):
+                    # unsubscribe before pooling the flag, or a later
+                    # run(until=...) could be stopped early by this stale
+                    # subscription firing.
                     try:
                         target.callbacks.remove(flag)
                     except ValueError:  # pragma: no cover - defensive
@@ -482,8 +274,8 @@ class Environment:
         stop_at = float(until)
         if stop_at < self._now:
             raise SimulationError(f"run(until={stop_at}) is in the past (now={self._now})")
-        while self._heap and self._heap[0][0] <= stop_at:
-            self.step()
+        while heap and heap[0][0] <= stop_at:
+            step()
         self._now = stop_at
         return None
 

@@ -137,14 +137,9 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` time units after creation.
+    """An event that triggers ``delay`` time units after creation."""
 
-    ``_recycle`` marks instances owned by the environment's free-list
-    (see :meth:`Environment.pooled_timeout`): the engine reclaims them as
-    soon as their callbacks have run.
-    """
-
-    __slots__ = ("delay", "_recycle")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -161,7 +156,6 @@ class Timeout(Event):
         self._triggered = True
         self._processed = False
         self._defused = False
-        self._recycle = False
         env._seq = seq = env._seq + 1
         heappush(env._heap, (env._now + delay, Environment_NORMAL, seq, self))
 
@@ -270,11 +264,7 @@ class Process(Event):
         """Advance the generator with the triggered event's outcome.
 
         This is the hottest function in the simulator (one call per
-        process wakeup). The engine's run loop inlines an equivalent of
-        the dominant leg (successful event, one ``send``, fresh Timeout
-        yielded back) — any change here must be mirrored in
-        ``Environment._drain``; the determinism tests compare traces
-        across both dispatch paths.
+        process wakeup).
         """
         if event is not self._target:
             # Stale wakeup from an event this process was lazily detached

@@ -74,8 +74,8 @@ class Pipe:
 
         The idle-channel case — the overwhelmingly common one at the
         block/record granularity this model runs at — is collapsed into
-        a single pooled timeout: a synchronous claim replaces the
-        request-grant event and the timeout object is recycled.
+        a single timeout: a synchronous claim replaces the
+        request-grant event.
         """
         channel = self._channel
         claim = channel.try_claim()
@@ -84,7 +84,7 @@ class Pipe:
             if claim is None:
                 req = channel.request()
                 yield req
-            yield self.env.pooled_timeout(self.transfer_time(nbytes))
+            yield self.env.timeout(self.transfer_time(nbytes))
         finally:
             if claim is not None:
                 channel.release_claim(claim)
@@ -142,7 +142,7 @@ class SharedPipe:
         self.active_flows += 1
         try:
             if self.latency_s:
-                yield self.env.pooled_timeout(self.latency_s)
+                yield self.env.timeout(self.latency_s)
             remaining = nbytes
             channel = self._channel
             while remaining > 0:
@@ -153,7 +153,7 @@ class SharedPipe:
                     if claim is None:
                         req = channel.request()
                         yield req
-                    yield self.env.pooled_timeout(slice_bytes / self.bandwidth_bps)
+                    yield self.env.timeout(slice_bytes / self.bandwidth_bps)
                 finally:
                     if claim is not None:
                         channel.release_claim(claim)

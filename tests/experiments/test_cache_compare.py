@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-import repro.sim.engine as engine
+import repro.modelmode as modelmode
 from repro.experiments import get_scenario, run_sweep, save_sweep
 from repro.experiments.cache import (
     cache_path,
@@ -24,7 +24,7 @@ def test_request_key_is_stable_and_sensitive():
     assert request_key(sc) == request_key(sc)
     assert request_key(sc.with_overrides({"k": [1, 2]})) != request_key(sc)
     assert request_key(sc.with_overrides(None, seed=9)) != request_key(sc)
-    assert request_key(sc, reference=True) != request_key(sc, reference=False)
+    assert request_key(sc, model_reference=True) != request_key(sc, model_reference=False)
 
 
 def test_cached_sweep_miss_then_hit(tmp_path):
@@ -62,14 +62,14 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     assert cache_path(tmp_path, sc, key) == path
 
 
-def test_cache_key_tracks_engine_mode(tmp_path):
+def test_cache_key_tracks_model_mode(tmp_path):
     _, hit = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    prev = engine.set_reference_mode(True)
+    prev = modelmode.set_model_reference(True)
     try:
         _, hit_ref = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
     finally:
-        engine.set_reference_mode(prev)
-    assert not hit and not hit_ref  # distinct entries per engine mode
+        modelmode.set_model_reference(prev)
+    assert not hit and not hit_ref  # distinct entries per model mode
 
 
 # -- drift reports -----------------------------------------------------------
@@ -129,7 +129,7 @@ def test_request_key_includes_code_version(monkeypatch):
     sc = get_scenario("_test_synth")
     base = request_key(sc)
     monkeypatch.setattr(cache_mod, "_code_version", lambda: "deadbeef")
-    assert request_key(sc) != base  # a new commit invalidates the cache
+    assert request_key(sc) != base  # a code change invalidates the cache
 
 
 def test_compare_missing_old_result_is_drift(tmp_path):

@@ -4,11 +4,15 @@ dispatch ordering, and cache pruning."""
 import io
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro.experiments.cache as cache_mod
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.cli import main as cli_main
 from repro.experiments import get_scenario, run_sweep
 from repro.experiments.cache import (
@@ -36,15 +40,53 @@ def test_point_key_is_stable_and_cfg_sensitive():
 
 
 def test_point_key_tracks_modes_and_code_version(monkeypatch):
-    import repro.experiments.cache as cache_mod
-
     sc = get_scenario("_test_synth")
     cfg = sc.points()[0]
     base = point_key(sc, cfg)
-    assert point_key(sc, cfg, reference=True) != base
     assert point_key(sc, cfg, model_reference=True) != base
     monkeypatch.setattr(cache_mod, "_code_version", lambda: "deadbeef")
-    assert point_key(sc, cfg) != base  # a new commit invalidates points
+    assert point_key(sc, cfg) != base  # a code change invalidates points
+
+
+_POINT_CACHE_RUN = '''
+import json, sys
+from pathlib import Path
+from repro.experiments import run_sweep
+from repro.experiments.cache import PointCache
+r = run_sweep("fig6", {"samples": [1e3]}, point_cache=PointCache(Path(sys.argv[1])))
+print(json.dumps([r.executed_points, r.cached_points, r.sha256()]))
+'''
+
+
+def test_source_edit_turns_point_cache_hit_into_miss(tmp_path):
+    """The code fingerprint covers the package sources themselves, so an
+    uncommitted edit (here: outside any git checkout) can never be
+    served the pre-edit cached values."""
+    src = tmp_path / "src"
+    shutil.copytree(Path(cache_mod.__file__).resolve().parents[1], src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache_dir = tmp_path / "cache"
+
+    def sweep():
+        out = subprocess.run(
+            [sys.executable, "-c", _POINT_CACHE_RUN, str(cache_dir)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        return json.loads(out.stdout)
+
+    executed, cached, before = sweep()
+    assert (executed, cached) == (1, 0)
+    assert sweep() == [0, 1, before]  # unchanged code: a point hit
+    scenarios = src / "repro" / "experiments" / "scenarios.py"
+    text = scenarios.read_text()
+    edited = text.replace("out[series.label] = series.ys[0]",
+                          "out[series.label] = series.ys[0] * 2")
+    assert edited != text
+    scenarios.write_text(edited)
+    executed, cached, after = sweep()
+    assert (executed, cached) == (1, 0)  # the edit turned the hit into a miss
+    assert after != before
 
 
 def test_point_key_ignores_grid_membership():
@@ -137,8 +179,8 @@ def test_timing_store_roundtrip(tmp_path):
     store.flush()
     reloaded = TimingStore(tmp_path)
     assert reloaded.estimate(key) == 1.25
-    # Modes change the key: the reference loops have different costs.
-    assert store.key(sc, cfg, reference=True) != key
+    # The model mode changes the key: the reference model costs more.
+    assert store.key(sc, cfg, model_reference=True) != key
 
 
 def test_timing_store_caps_entries(tmp_path):
@@ -254,16 +296,10 @@ def test_cli_cache_prune(tmp_path):
 
 # -- mode interaction --------------------------------------------------------
 
-def test_point_cache_respects_engine_and_model_modes(tmp_path):
-    """Reference-mode sweeps never reuse fast-mode points (and vice
-    versa): the per-point key includes both flags."""
+def test_point_cache_respects_model_mode(tmp_path):
+    """Reference-model sweeps never reuse event-thin points (and vice
+    versa): the per-point key includes the model flag."""
     first, _ = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    prev = engine.set_reference_mode(True)
-    try:
-        ref, hit = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
-    finally:
-        engine.set_reference_mode(prev)
-    assert not hit and ref.executed_points == 9
     prev = modelmode.set_model_reference(True)
     try:
         mod, hit = cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)

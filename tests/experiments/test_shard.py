@@ -1,5 +1,5 @@
 """Cross-host sharded sweeps: deterministic partitions, byte-identical
-merges in every engine/model mode, and refusal of unsafe merges."""
+merges in both model modes, and refusal of unsafe merges."""
 
 import io
 import json
@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.cli import main as cli_main
 from repro.experiments import get_scenario, run_sweep
 from repro.experiments.shard import (
@@ -74,20 +73,17 @@ def test_any_partition_any_merge_order_reproduces_serial_sha(data, count):
     assert merged.canonical_json() == serial.canonical_json()
 
 
-@pytest.mark.parametrize("engine_ref", [False, True])
 @pytest.mark.parametrize("model_ref", [False, True])
-def test_shard_merge_parity_real_scenario_all_modes(engine_ref, model_ref):
+def test_shard_merge_parity_real_scenario_all_modes(model_ref):
     """A real simulated scenario (reduced fig8 grid) shards and merges
-    byte-identically under every engine-mode x model-mode combination;
-    the manifests record the modes they ran under."""
+    byte-identically under both model modes; the manifests record the
+    mode they ran under."""
     overrides = {"nodes": [2, 4], "samples": 1e9}
-    prev_e = engine.set_reference_mode(engine_ref)
     prev_m = modelmode.set_model_reference(model_ref)
     try:
         serial = run_sweep("fig8", overrides, workers=1)
         merged = _shard_and_merge("fig8", 2, overrides)
     finally:
-        engine.set_reference_mode(prev_e)
         modelmode.set_model_reference(prev_m)
     assert merged.sha256() == serial.sha256()
 
@@ -129,11 +125,11 @@ def test_merge_refuses_seed_mismatch(tmp_path):
 
 def test_merge_refuses_mode_mismatch(tmp_path):
     m0 = run_shard("_test_synth", 0, 2, workers=1)
-    prev = engine.set_reference_mode(True)
+    prev = modelmode.set_model_reference(True)
     try:
         m1 = run_shard("_test_synth", 1, 2, workers=1)
     finally:
-        engine.set_reference_mode(prev)
+        modelmode.set_model_reference(prev)
     with pytest.raises(ShardError, match="mismatch"):
         merge_shards(_write_set(tmp_path, [m0, m1]))
 

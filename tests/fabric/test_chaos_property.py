@@ -2,8 +2,8 @@
 
 Random worker kills, heartbeat-silence windows, duplicated deliveries,
 and coordinator crash/restart at random points in a fig8 sweep must
-always produce a merge byte-identical to the serial result — in both
-engine×model reference combos — with exactly-once accounting: every
+always produce a merge byte-identical to the serial result — under
+both model modes — with exactly-once accounting: every
 grid point accepted exactly once, none lost, none double-counted.
 
 The schedules are drawn by Hypothesis but executed deterministically
@@ -19,25 +19,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments import run_sweep
 from repro.fabric import CoordinatorChaos, TrackerConfig, WorkerChaos, run_chaos_fleet
 
 OV = {"nodes": [2, 3, 4], "samples": 1e8}
-_SERIAL_SHA: dict[tuple[bool, bool], str] = {}
+_SERIAL_SHA: dict[bool, str] = {}
 
 
-def serial_sha(reference: bool, model_reference: bool) -> str:
-    combo = (reference, model_reference)
-    if combo not in _SERIAL_SHA:
-        prev = engine.set_reference_mode(reference)
+def serial_sha(model_reference: bool) -> str:
+    if model_reference not in _SERIAL_SHA:
         prev_model = modelmode.set_model_reference(model_reference)
         try:
-            _SERIAL_SHA[combo] = run_sweep("fig8", OV).sha256()
+            _SERIAL_SHA[model_reference] = run_sweep("fig8", OV).sha256()
         finally:
-            engine.set_reference_mode(prev)
             modelmode.set_model_reference(prev_model)
-    return _SERIAL_SHA[combo]
+    return _SERIAL_SHA[model_reference]
 
 
 worker_chaos_st = st.one_of(
@@ -61,19 +57,16 @@ schedule_st = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("reference,model_reference",
-                         [(False, False), (True, True)],
-                         ids=["opt-opt", "ref-ref"])
+@pytest.mark.parametrize("model_reference", [False, True], ids=["opt", "refmodel"])
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(schedule=schedule_st)
 def test_random_failure_schedules_merge_byte_identical(
-        schedule, reference, model_reference):
-    expected = serial_sha(reference, model_reference)
+        schedule, model_reference):
+    expected = serial_sha(model_reference)
     with tempfile.TemporaryDirectory() as td:
         result, stats, reports = run_chaos_fleet(
-            "fig8", OV, reference=reference,
-            model_reference=model_reference,
+            "fig8", OV, model_reference=model_reference,
             journal_path=Path(td) / "j.jsonl",
             workers=schedule["workers"],
             worker_chaos=schedule["worker_chaos"],

@@ -3,7 +3,7 @@
 The centerpiece is the acceptance matrix: a fleet sweep with two
 injected worker deaths **and** a coordinator crash/restart must merge
 byte-identical (sha256) to a serial ``run_sweep`` of the same request,
-in all four engine×model reference-mode combinations — plus the
+under both model modes — plus the
 fail-fast paths (fully dead fleet, poison quarantine) that must error
 clearly instead of hanging.
 """
@@ -13,7 +13,6 @@ import threading
 import pytest
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments import run_sweep
 from repro.fabric import (
     CoordinatorChaos,
@@ -29,19 +28,16 @@ from repro.serve.client import Address
 OV = {"nodes": [2, 3, 4, 5, 6], "samples": 1e8}
 
 
-def serial_sha(scenario, overrides, reference, model_reference):
-    prev = engine.set_reference_mode(reference)
+def serial_sha(scenario, overrides, model_reference):
     prev_model = modelmode.set_model_reference(model_reference)
     try:
         return run_sweep(scenario, overrides).sha256()
     finally:
-        engine.set_reference_mode(prev)
         modelmode.set_model_reference(prev_model)
 
 
 def test_fleet_matches_serial_happy_path(tmp_path):
-    serial = serial_sha("_fleet_synth", None, engine.REFERENCE_MODE,
-                        modelmode.REFERENCE_MODE)
+    serial = serial_sha("_fleet_synth", None, modelmode.REFERENCE_MODE)
     result, stats, reports = run_chaos_fleet(
         "_fleet_synth", journal_path=tmp_path / "j.jsonl", workers=3,
         timeout_s=60.0, linger_s=0.3)
@@ -53,8 +49,7 @@ def test_fleet_matches_serial_happy_path(tmp_path):
 
 
 def test_duplicated_and_delayed_deliveries_dedup(tmp_path):
-    serial = serial_sha("_fleet_synth", None, engine.REFERENCE_MODE,
-                        modelmode.REFERENCE_MODE)
+    serial = serial_sha("_fleet_synth", None, modelmode.REFERENCE_MODE)
     result, stats, reports = run_chaos_fleet(
         "_fleet_synth", journal_path=tmp_path / "j.jsonl", workers=2,
         worker_chaos=[WorkerChaos(duplicate_results=True,
@@ -66,21 +61,16 @@ def test_duplicated_and_delayed_deliveries_dedup(tmp_path):
     assert stats["accepted"] == stats["total"]
 
 
-@pytest.mark.parametrize(
-    "reference,model_reference",
-    [(False, False), (False, True), (True, False), (True, True)],
-    ids=["opt-opt", "opt-refmodel", "refengine-opt", "ref-ref"],
-)
-def test_acceptance_two_kills_one_coordinator_restart(
-        tmp_path, reference, model_reference):
-    """The ISSUE's acceptance bar, per mode combo: >=2 worker deaths
-    plus a coordinator crash/restart, byte-identical to serial."""
-    serial = serial_sha("fig8", OV, reference, model_reference)
+@pytest.mark.parametrize("model_reference", [False, True], ids=["opt", "refmodel"])
+def test_acceptance_two_kills_one_coordinator_restart(tmp_path, model_reference):
+    """The acceptance bar, per model mode: >=2 worker deaths plus a
+    coordinator crash/restart, byte-identical to serial."""
+    serial = serial_sha("fig8", OV, model_reference)
     # Both initial workers carry a kill order, so both deaths are
     # guaranteed to fire (each must deliver the fleet's early results);
     # the harness respawns clean replacements that finish the sweep.
     result, stats, reports = run_chaos_fleet(
-        "fig8", OV, reference=reference, model_reference=model_reference,
+        "fig8", OV, model_reference=model_reference,
         journal_path=tmp_path / "j.jsonl", workers=2,
         worker_chaos=[WorkerChaos(kill_after_results=1),
                       WorkerChaos(kill_after_results=1)],
@@ -96,8 +86,7 @@ def test_acceptance_two_kills_one_coordinator_restart(
 
 
 def test_heartbeat_silence_triggers_redispatch_but_not_byte_drift(tmp_path):
-    serial = serial_sha("_fleet_slow", None, engine.REFERENCE_MODE,
-                        modelmode.REFERENCE_MODE)
+    serial = serial_sha("_fleet_slow", None, modelmode.REFERENCE_MODE)
     # Worker 0 goes silent for well past the worker timeout after its
     # first delivery; the detector revokes its leases, yet its late
     # work (delivered after re-registering) is still merged or deduped.
@@ -185,8 +174,7 @@ def test_coordinator_register_rejects_foreign_key(tmp_path):
 
 
 def test_point_cache_prefill_keeps_bytes_identical(tmp_path):
-    serial = serial_sha("_fleet_synth", None, engine.REFERENCE_MODE,
-                        modelmode.REFERENCE_MODE)
+    serial = serial_sha("_fleet_synth", None, modelmode.REFERENCE_MODE)
     cache_dir = tmp_path / "cache"
     # First fleet run populates the point cache...
     first, _, _ = run_chaos_fleet(

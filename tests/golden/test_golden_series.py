@@ -2,11 +2,8 @@
 
 Freezes the canonical sweep output of every figure scenario (reduced
 grids, fixed seed) under ``tests/golden/data/`` and asserts the current
-tree reproduces the stored bytes exactly:
-
-- in both engine modes (optimized fast loop and the pre-overhaul
-  reference loop selected by ``REPRO_SIM_REFERENCE=1``), and
-- under the parallel sweep driver at 1, 2, and 4 workers.
+tree reproduces the stored bytes exactly, serially and under the
+parallel sweep driver at 1, 2, and 4 workers.
 
 Byte identity, not approximate equality: a single-ulp drift in any
 makespan is a contract violation (see ``docs/EXPERIMENTS.md``). To
@@ -22,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.sim.engine as engine
 from repro.experiments import run_sweep
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -59,15 +55,6 @@ ELASTIC_FIGS = ["elastic", "spot_storm", "sla_mix"]
 FIGS = sorted(CASES)
 
 
-@pytest.fixture
-def reference_mode():
-    prev = engine.set_reference_mode(True)
-    try:
-        yield
-    finally:
-        engine.set_reference_mode(prev)
-
-
 def _check_against_golden(result) -> None:
     path = GOLDEN_DIR / f"{result.scenario}.golden.json"
     # pretty_json is also exactly what save_sweep writes: the goldens
@@ -94,12 +81,6 @@ def test_golden_fast_engine(fig):
     _check_against_golden(run_sweep(fig, CASES[fig], workers=1))
 
 
-@pytest.mark.parametrize("fig", FIGS)
-def test_golden_reference_engine(fig, reference_mode):
-    """The pre-overhaul event loop must land on the same bytes."""
-    _check_against_golden(run_sweep(fig, CASES[fig], workers=1))
-
-
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_golden_fig8_parallel_driver(workers):
     """`repro sweep fig8 --workers N` is byte-identical for N=1,2,4."""
@@ -112,13 +93,6 @@ def test_golden_elastic_families_parallel_driver(fig, workers):
     """Churn/preemption scenarios are byte-identical at 1, 2, 4 workers:
     worker count must never leak into the simulated timeline."""
     _check_against_golden(run_sweep(fig, CASES[fig], workers=workers))
-
-
-@pytest.mark.parametrize("workers", [2])
-def test_golden_fig8_parallel_reference_engine(workers, reference_mode):
-    """Parallel driver + reference engine: workers re-apply the parent's
-    engine mode, so even this combination pins to the same bytes."""
-    _check_against_golden(run_sweep("fig8", CASES["fig8"], workers=workers))
 
 
 def test_goldens_have_no_strays():

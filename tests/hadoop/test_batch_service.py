@@ -7,7 +7,7 @@ message still pays its own serialized service time and is handled in
 arrival order, so batching may only shave Python overhead — never move
 a decision. These tests pin that contract by running the same workloads
 under the real batched loop and under a verbatim replica of the old
-serial loop, across both engine modes and both model modes, and by
+serial loop, across both model modes, and by
 property-testing the vectorized kernel cost models against their scalar
 forms bit for bit.
 """
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.cell.processor import CellProcessor
 from repro.cell.runtime import CellMapReduceRuntime, DirectSPERuntime, OffloadRuntime
 from repro.core.simexec import run_workload_mix
@@ -35,7 +34,7 @@ def _serial_main_loop(self):
     service_s = self.calib.jobtracker_service_s
     while True:
         msg, reply_box = yield self.inbox.get()
-        yield self.env.pooled_timeout(service_s)
+        yield self.env.timeout(service_s)
         if isinstance(msg, Heartbeat):
             reply = self._handle_heartbeat(msg)
             yield reply_box.put(reply)
@@ -50,11 +49,9 @@ def _serial_main_loop(self):
 _BATCH_ONLY_KEYS = ("heartbeat_batches", "heartbeat_batch_hist")
 
 
-def _run_mix(serial, engine_ref=False, model_ref=False, seed=31, num_jobs=3,
-             stagger_s=3.0):
+def _run_mix(serial, model_ref=False, seed=31, num_jobs=3, stagger_s=3.0):
     """One traced multi-job mix; returns (mean completion, assignment
     trace, decision counters)."""
-    prev_e = engine.set_reference_mode(engine_ref)
     prev_m = modelmode.set_model_reference(model_ref)
     orig_loop = JobTracker._main_loop
     try:
@@ -82,7 +79,6 @@ def _run_mix(serial, engine_ref=False, model_ref=False, seed=31, num_jobs=3,
         return mix.mean_completion_s, trace, sim.jobtracker.decision_counters()
     finally:
         JobTracker._main_loop = orig_loop
-        engine.set_reference_mode(prev_e)
         modelmode.set_model_reference(prev_m)
 
 
@@ -90,16 +86,13 @@ def _without_batch_keys(counters):
     return {k: v for k, v in counters.items() if k not in _BATCH_ONLY_KEYS}
 
 
-@pytest.mark.parametrize("engine_ref", [False, True])
 @pytest.mark.parametrize("model_ref", [False, True])
-def test_batched_pass_identical_to_serial_loop(engine_ref, model_ref):
+def test_batched_pass_identical_to_serial_loop(model_ref):
     """Same mean completion, same assignment trace, same decision
     counters (minus the batch histogram only the batched loop keeps) in
-    every engine-mode x model-mode combination."""
-    b_mean, b_trace, b_counters = _run_mix(
-        serial=False, engine_ref=engine_ref, model_ref=model_ref)
-    s_mean, s_trace, s_counters = _run_mix(
-        serial=True, engine_ref=engine_ref, model_ref=model_ref)
+    both model modes."""
+    b_mean, b_trace, b_counters = _run_mix(serial=False, model_ref=model_ref)
+    s_mean, s_trace, s_counters = _run_mix(serial=True, model_ref=model_ref)
     assert b_mean == s_mean
     assert b_trace == s_trace
     assert _without_batch_keys(b_counters) == _without_batch_keys(s_counters)

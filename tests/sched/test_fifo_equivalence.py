@@ -2,15 +2,14 @@
 
 The strongest equivalence evidence lives in ``tests/golden``: the
 refactored JobTracker + extracted FifoScheduler reproduce the frozen
-pre-refactor series byte for byte, in both engine modes and at 1/2/4
-sweep workers. These tests add the task-level view: identical
+pre-refactor series byte for byte, serially and at 1/2/4 sweep
+workers. These tests add the task-level view: identical
 *assignment traces* across every way of selecting FIFO, plus the policy
 plumbing (selection routes, validation, misbehaving policies).
 """
 
 import pytest
 
-import repro.sim.engine as engine
 from repro.core.simexec import SimulatedCluster
 from repro.hadoop import JobConf
 from repro.hadoop.job import TaskKind
@@ -24,21 +23,17 @@ def _pi_conf(**kw):
                    samples=2e9, num_map_tasks=8, num_reduce_tasks=1, **kw)
 
 
-def _assignment_trace(scheduler=None, reference=False, conf=None):
+def _assignment_trace(scheduler=None, conf=None):
     """(time, job, kind, task, tracker) of every task_assigned event."""
-    prev = engine.set_reference_mode(reference)
-    try:
-        sim = SimulatedCluster(4, seed=99, trace=True, scheduler=scheduler)
-        result = sim.run_job(conf if conf is not None else _pi_conf())
-        assert result.succeeded
-        return [
-            (r.time, r.attrs["job"], r.attrs["kind"], r.attrs["task"],
-             r.attrs["tracker"])
-            for r in sim.cluster.tracer.records
-            if r.event == "task_assigned"
-        ], result.makespan_s
-    finally:
-        engine.set_reference_mode(prev)
+    sim = SimulatedCluster(4, seed=99, trace=True, scheduler=scheduler)
+    result = sim.run_job(conf if conf is not None else _pi_conf())
+    assert result.succeeded
+    return [
+        (r.time, r.attrs["job"], r.attrs["kind"], r.attrs["task"],
+         r.attrs["tracker"])
+        for r in sim.cluster.tracer.records
+        if r.event == "task_assigned"
+    ], result.makespan_s
 
 
 def test_every_fifo_selection_route_is_trace_identical():
@@ -53,23 +48,12 @@ def test_every_fifo_selection_route_is_trace_identical():
     assert trace == baseline and ms == makespan
 
 
-def test_fast_and_reference_engines_assign_identically():
-    fast, fast_ms = _assignment_trace(reference=False)
-    ref, ref_ms = _assignment_trace(reference=True)
-    assert fast == ref
-    assert fast_ms == ref_ms
-
-
 def test_speculative_golden_path_unchanged():
     """Speculation decisions (the subtlest extracted logic) survive the
     refactor: with a straggler node the FIFO policy still launches
     duplicates, and the job still finishes."""
-    prev = engine.set_reference_mode(False)
-    try:
-        sim = SimulatedCluster(4, seed=7, slow_nodes={1: 8.0})
-        result = sim.run_job(_pi_conf(speculative=True))
-    finally:
-        engine.set_reference_mode(prev)
+    sim = SimulatedCluster(4, seed=7, slow_nodes={1: 8.0})
+    result = sim.run_job(_pi_conf(speculative=True))
     assert result.succeeded
     assert result.counters.get("speculative_attempts", 0) >= 1
 

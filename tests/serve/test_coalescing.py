@@ -2,15 +2,14 @@
 
 K identical concurrent submits must execute the grid exactly once and
 hand every client byte-identical payloads, themselves byte-identical
-to what the offline `repro sweep` path produces — across both engine
-modes and both model-protocol modes.
+to what the offline `repro sweep` path produces — across both
+model-protocol modes.
 """
 
 import json
 import threading
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 from repro.experiments import run_sweep
 from repro.serve import protocol, request_one, request_stream
 
@@ -86,42 +85,49 @@ def test_interleaved_distinct_requests_do_not_cross_coalesce(server, address):
 
 
 def test_mode_combinations_coalesce_and_match_offline(server, address):
-    """All four engine×model reference combinations, each submitted
-    twice concurrently: one execution per combination, byte-identical
-    to an offline sweep run under those process-global modes. One
-    daemon serves every combination without touching its own globals."""
+    """Both model modes, each submitted twice concurrently: one
+    execution per mode, byte-identical to an offline sweep run under
+    that process-global mode. One daemon serves both modes without
+    touching its own globals."""
     overrides = {"nodes": [2, 4], "samples": 1e9}
-    sha_by_combo = {}
-    for ref_engine in (False, True):
-        for ref_model in (False, True):
-            prev = engine.set_reference_mode(ref_engine)
-            prev_model = modelmode.set_model_reference(ref_model)
-            try:
-                offline = run_sweep("fig8", overrides, seed=1234, workers=1)
-            finally:
-                engine.set_reference_mode(prev)
-                modelmode.set_model_reference(prev_model)
-            req = protocol.submit_request(
-                "fig8", overrides, seed=1234,
-                reference_engine=ref_engine, reference_model=ref_model,
-            )
-            results = concurrent_submits(address, [dict(req), dict(req)])
-            assert {evs[0]["job"] for evs in results} and \
-                sum(evs[0]["coalesced"] for evs in results) == 1
-            for evs in results:
-                term = evs[-1]
-                assert term["event"] == "result", term
-                assert term["payload"] == offline.pretty_json(), (
-                    f"served bytes diverge offline at "
-                    f"engine_ref={ref_engine} model_ref={ref_model}"
-                )
-                assert term["sha256"] == offline.sha256()
-            sha_by_combo[(ref_engine, ref_model)] = offline.sha256()
-    # The reference engine is *supposed* to agree with the fast engine
-    # byte for byte; the model-protocol modes are distinct computations.
+    sha_by_mode = {}
     for ref_model in (False, True):
-        assert sha_by_combo[(False, ref_model)] == sha_by_combo[(True, ref_model)]
-    assert sha_by_combo[(False, False)] != sha_by_combo[(False, True)]
+        prev_model = modelmode.set_model_reference(ref_model)
+        try:
+            offline = run_sweep("fig8", overrides, seed=1234, workers=1)
+        finally:
+            modelmode.set_model_reference(prev_model)
+        req = protocol.submit_request(
+            "fig8", overrides, seed=1234, reference_model=ref_model,
+        )
+        results = concurrent_submits(address, [dict(req), dict(req)])
+        assert sum(evs[0]["coalesced"] for evs in results) == 1
+        for evs in results:
+            term = evs[-1]
+            assert term["event"] == "result", term
+            assert term["payload"] == offline.pretty_json(), (
+                f"served bytes diverge offline at model_ref={ref_model}"
+            )
+            assert term["sha256"] == offline.sha256()
+        sha_by_mode[ref_model] = offline.sha256()
+    # The model-protocol modes are distinct computations.
+    assert sha_by_mode[False] != sha_by_mode[True]
+
+
+def test_submit_with_retired_engine_field_is_served_identically(server, address):
+    """Older clients may still send ``reference_engine``: like any
+    unknown key it is ignored, so such a frame coalesces with one
+    without the field and both receive the same bytes."""
+    req = protocol.submit_request("_serve_slow", seed=1234)
+    legacy = {**req, "reference_engine": True}
+    results = concurrent_submits(address, [dict(req), legacy])
+    assert len({evs[0]["job"] for evs in results}) == 1
+    assert sum(evs[0]["coalesced"] for evs in results) == 1
+    terms = [evs[-1] for evs in results]
+    assert all(t["event"] == "result" for t in terms), terms
+    assert terms[0]["sha256"] == terms[1]["sha256"]
+    assert terms[0]["payload"] == terms[1]["payload"]
+    assert terms[0]["sha256"] == run_sweep("_serve_slow", seed=1234).sha256()
 
 
 def test_payload_is_the_canonical_result_document(server, address):

@@ -1,10 +1,10 @@
 """Property test: random request mixes against a live daemon.
 
 Hypothesis draws a batch of submits — random scenario, grid subset,
-seed, engine/model mode combination, duplicates encouraged, some
+seed, model mode, duplicates encouraged, some
 cancelled right after admission — fires them concurrently, and checks
 that every result the daemon serves is byte-identical to a memoized
-serial offline `run_sweep` under the same process-global modes. A
+serial offline `run_sweep` under the same process-global mode. A
 cancelled submit may legitimately land as either `cancelled` or `done`
 (the cancel can lose the race to a fast grid); when it lands `done`
 its bytes must still match offline exactly.
@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.modelmode as modelmode
-import repro.sim.engine as engine
 import pytest
 
 from repro.experiments import run_sweep
@@ -34,7 +33,6 @@ request_strategy = st.fixed_dictionaries({
     "scenario": st.sampled_from(sorted(SCENARIOS)),
     "grid_choice": st.integers(min_value=0, max_value=1),
     "seed": st.sampled_from([1, 2]),
-    "reference_engine": st.booleans(),
     "reference_model": st.booleans(),
     "cancel": st.booleans(),
 })
@@ -54,21 +52,18 @@ _offline_memo: dict = {}
 
 
 def offline_bytes(spec) -> tuple[str, dict]:
-    """Serial, in-process reference run under the spec's global modes
+    """Serial, in-process reference run under the spec's global mode
     (memoized — identical specs across examples pay once)."""
     scenario = spec["scenario"]
     param, choices = SCENARIOS[scenario]
     grid = choices[spec["grid_choice"]]
-    key = (scenario, param, tuple(grid), spec["seed"],
-           spec["reference_engine"], spec["reference_model"])
+    key = (scenario, param, tuple(grid), spec["seed"], spec["reference_model"])
     if key not in _offline_memo:
-        prev = engine.set_reference_mode(spec["reference_engine"])
         prev_model = modelmode.set_model_reference(spec["reference_model"])
         try:
             result = run_sweep(scenario, {param: grid},
                                seed=spec["seed"], workers=1)
         finally:
-            engine.set_reference_mode(prev)
             modelmode.set_model_reference(prev_model)
         _offline_memo[key] = result.pretty_json()
     overrides = {param: grid}
@@ -90,7 +85,6 @@ def test_random_interleavings_serve_offline_bytes(prop_server, specs):
         expected.append(payload)
         requests.append(protocol.submit_request(
             spec["scenario"], overrides, seed=spec["seed"],
-            reference_engine=spec["reference_engine"],
             reference_model=spec["reference_model"],
             detach=spec["cancel"],
         ))
@@ -125,7 +119,7 @@ def test_random_interleavings_serve_offline_bytes(prop_server, specs):
 
     def logical_key(spec):
         return (spec["scenario"], spec["grid_choice"], spec["seed"],
-                spec["reference_engine"], spec["reference_model"])
+                spec["reference_model"])
 
     cancelled_keys = {logical_key(s) for s in specs if s["cancel"]}
 

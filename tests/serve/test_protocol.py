@@ -55,7 +55,6 @@ def test_parse_submit_shape_errors():
         {"verb": "submit", "scenario": ""},
         {"verb": "submit", "scenario": "fig8", "overrides": [1]},
         {"verb": "submit", "scenario": "fig8", "seed": "abc"},
-        {"verb": "submit", "scenario": "fig8", "reference_engine": "yes"},
         {"verb": "submit", "scenario": "fig8", "detach": 1},
     ):
         with pytest.raises(protocol.ProtocolError):
@@ -115,7 +114,6 @@ def test_different_requests_get_distinct_jobs(table):
     for other in (
         JobRequest(scenario="_serve_synth", seed=2),
         JobRequest(scenario="_serve_synth", seed=1, overrides={"k": [0, 1]}),
-        JobRequest(scenario="_serve_synth", seed=1, reference_engine=True),
         JobRequest(scenario="_serve_synth", seed=1, reference_model=True),
     ):
         job, created = table.admit(other)

@@ -1,18 +1,20 @@
-"""Determinism and lazy-cancellation tests for the engine overhaul.
+"""Determinism and lazy-cancellation tests for the event engine.
 
-The optimized event loop (inlined dispatch, Timeout fast path, pooled
-timeouts, synchronous store completions, claim API) must be
-observationally identical to the reference loop: same ``(time,
-priority, seq, event-class)`` trace for the same program, and
-byte-identical figure series. These tests pin that contract, plus the
+The engine's ``(time, priority, seq, event-class)`` trace is its
+determinism contract. ``data/frozen_traces.json`` pins the sha256 of the
+trace of fixed programs — a dense mixed scenario and one Fig-8 point —
+as recorded when the engine still had a second, trace-identical loop,
+so any change to dispatch order shows up here. These tests also pin the
 unit-level invariants of lazy cancellation.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-import repro.sim.engine as engine_mod
+import repro.modelmode as modelmode
 from repro.sim import (
     Environment,
     Interrupt,
@@ -21,6 +23,12 @@ from repro.sim import (
     SimulationError,
     Store,
 )
+
+FROZEN = json.loads((Path(__file__).parent / "data" / "frozen_traces.json").read_text())
+
+
+def _digest(trace: list) -> str:
+    return hashlib.sha256(json.dumps(trace).encode()).hexdigest()
 
 
 def _mixed_scenario(env: Environment) -> list:
@@ -53,13 +61,13 @@ def _mixed_scenario(env: Environment) -> list:
         claim = plain.try_claim()
         if claim is not None:
             try:
-                yield env.pooled_timeout(0.5)
+                yield env.timeout(0.5)
             finally:
                 plain.release_claim(claim)
         else:
             with plain.request() as req:
                 yield req
-                yield env.pooled_timeout(0.5)
+                yield env.timeout(0.5)
         log.append(("pipe", i, env.now))
 
     def sleeper():
@@ -87,66 +95,46 @@ def _mixed_scenario(env: Environment) -> list:
     return log
 
 
-def test_trace_identical_between_fast_and_reference_loops():
-    fast = Environment(reference=False)
-    fast_trace = fast.capture_trace()
-    fast_log = _mixed_scenario(fast)
-
-    ref = Environment(reference=True)
-    ref_trace = ref.capture_trace()
-    ref_log = _mixed_scenario(ref)
-
-    assert len(fast_trace) > 50
-    assert fast_trace == ref_trace
-    assert fast_log == ref_log
+def test_mixed_scenario_trace_matches_frozen_fixture():
+    env = Environment()
+    trace = env.capture_trace()
+    _mixed_scenario(env)
+    assert len(trace) == FROZEN["mixed_scenario"]["events"]
+    assert _digest(trace) == FROZEN["mixed_scenario"]["sha256"]
 
 
 def test_trace_identical_across_repeated_fast_runs():
     traces = []
     for _ in range(2):
-        env = Environment(reference=False)
+        env = Environment()
         t = env.capture_trace()
         _mixed_scenario(env)
         traces.append(t)
     assert traces[0] == traces[1]
 
 
-def _with_reference_mode(enabled, fn):
-    prev = engine_mod.set_reference_mode(enabled)
+def test_fig8_point_trace_matches_frozen_fixture(monkeypatch):
+    """A full cluster simulation (three Pi jobs of one Fig-8 point)
+    dispatches exactly the frozen event sequence and values."""
+    from repro.experiments.scenarios import fig8_point
+
+    frozen = FROZEN["fig8_point"]
+    trace: list = []
+    init = Environment.__init__
+
+    def tracing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.capture_trace(trace)
+
+    monkeypatch.setattr(Environment, "__init__", tracing_init)
+    prev = modelmode.set_model_reference(False)
     try:
-        return fn()
+        values = fig8_point(frozen["cfg"])
     finally:
-        engine_mod.set_reference_mode(prev)
-
-
-def test_fig8_series_byte_identical_across_engine_modes():
-    """Small Fig-8 slice: cluster sim output must not depend on the
-    engine mode (the loop rewrite is observationally invisible)."""
-    from repro.core import run_pi_job
-    from repro.perf import Backend
-
-    def sweep():
-        out = []
-        for backend in (Backend.JAVA_PPE, Backend.CELL_SPE_DIRECT):
-            for n in (4, 8):
-                out.append(run_pi_job(n, 1e9, backend).makespan_s)
-        return out
-
-    ref = _with_reference_mode(True, sweep)
-    fast = _with_reference_mode(False, sweep)
-    assert json.dumps(ref) == json.dumps(fast)
-
-
-def test_fig6_series_byte_identical_across_engine_modes():
-    """Small Fig-6 slice (raw single-node Pi rates), same contract."""
-    from repro.core import raw_pi_rates
-
-    samples = (1e3, 1e5, 1e7)
-    ref = _with_reference_mode(True, lambda: raw_pi_rates(samples))
-    fast = _with_reference_mode(False, lambda: raw_pi_rates(samples))
-    ref_points = [(s.label, s.xs, s.ys) for s in ref]
-    fast_points = [(s.label, s.xs, s.ys) for s in fast]
-    assert json.dumps(ref_points) == json.dumps(fast_points)
+        modelmode.set_model_reference(prev)
+    assert len(trace) == frozen["events"]
+    assert _digest(trace) == frozen["sha256"]
+    assert json.dumps(values) == json.dumps(frozen["values"])
 
 
 # --------------------------------------------------------------------------- #
@@ -371,7 +359,7 @@ def test_claim_released_on_interrupt():
         claim = res.try_claim()
         assert claim is not None
         try:
-            yield env.pooled_timeout(100.0)
+            yield env.timeout(100.0)
         finally:
             res.release_claim(claim)
 
@@ -388,37 +376,10 @@ def test_claim_released_on_interrupt():
 
 
 # --------------------------------------------------------------------------- #
-# Pooled timeouts                                                              #
+# Composite timeouts                                                           #
 # --------------------------------------------------------------------------- #
-def test_pooled_timeouts_recycle_and_deliver_values():
-    env = Environment(reference=False)
-    seen = []
-
-    def proc():
-        for i in range(5):
-            v = yield env.pooled_timeout(1.0, value=i)
-            seen.append((v, env.now))
-
-    env.process(proc())
-    env.run()
-    assert seen == [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)]
-    # The free-list actually recycled: a sequential chain alternates
-    # between two pooled objects (the replacement is created during the
-    # resume, before the dispatched one is reclaimed), so five sleeps
-    # leave exactly two objects — not five — in the pool.
-    assert len(env._timeout_pool) == 2
-
-
-def test_pooled_timeout_rejects_negative_delay():
-    env = Environment(reference=False)
-
-    def proc():
-        yield env.pooled_timeout(1.0)  # prime the pool
-
-    env.process(proc())
-    env.run()
-    with pytest.raises(ValueError):
-        env.pooled_timeout(-1.0)
+def test_composite_timeout_rejects_negative_delay():
+    env = Environment()
     with pytest.raises(ValueError):
         env.composite_timeout(1.0, -0.5)
 
@@ -432,18 +393,6 @@ def test_composite_timeout_sums_phases():
 
     p = env.process(proc())
     assert env.run(p) == 3.5
-
-
-def test_reference_mode_pooled_timeout_does_not_pool():
-    env = Environment(reference=True)
-
-    def proc():
-        for _ in range(3):
-            yield env.pooled_timeout(1.0)
-
-    env.process(proc())
-    env.run()
-    assert env._timeout_pool == []
 
 
 # --------------------------------------------------------------------------- #
