@@ -8,6 +8,7 @@ MapReduce-on-Cell semantics) lives in :mod:`repro.cell.runtime`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Generator
 
 from repro.sim.engine import Environment
@@ -116,23 +117,68 @@ class PPE:
 
 
 class CellProcessor:
-    """One Cell BE socket: 1 PPE + 8 SPEs + shared DMA engine."""
+    """One Cell BE socket: 1 PPE + 8 SPEs + shared DMA engine.
+
+    The DMA engine, the PPE and the SPEs are built on first access. Their
+    construction schedules no event and draws nothing, so a socket built
+    late is in the state an eager build would have left it in, and a job
+    that never offloads (Java, Empty) or only offloads analytically never
+    pays for them.
+    """
 
     def __init__(self, env: Environment, socket_id: int, calib: "CalibrationProfile"):
         self.env = env
         self.socket_id = socket_id
         self.calib = calib
-        self.dma = DMAEngine(env, calib)
-        self.ppe = PPE(env, calib)
-        self.spes = [SPE(env, i, self.dma, calib) for i in range(calib.spes_per_cell)]
+        # What each SPE's busy_s would hold while the SPEs are unbuilt:
+        # spread_busy gives every SPE the same share, in the same order.
+        self._unbuilt_spe_busy_s = 0.0
+
+    @cached_property
+    def dma(self) -> DMAEngine:
+        return DMAEngine(self.env, self.calib)
+
+    @cached_property
+    def ppe(self) -> PPE:
+        return PPE(self.env, self.calib)
+
+    @cached_property
+    def spes(self) -> list[SPE]:
+        dma = self.dma
+        spes = [SPE(self.env, i, dma, self.calib) for i in range(self.spe_count)]
+        for spe in spes:
+            spe.busy_s = self._unbuilt_spe_busy_s
+        return spes
 
     @property
     def spe_count(self) -> int:
-        return len(self.spes)
+        return self.calib.spes_per_cell
+
+    def spread_busy(self, seconds: float) -> None:
+        """Charge ``seconds`` of analytic kernel time evenly over the SPEs."""
+        share = seconds / self.spe_count
+        spes = self.__dict__.get("spes")
+        if spes is None:
+            self._unbuilt_spe_busy_s += share
+        else:
+            for spe in spes:
+                spe.busy_s += share
+
+    def probe_store(self) -> LocalStore:
+        """A local store to trial-allocate in: SPE 0's, or while the SPEs
+        are unbuilt a fresh store of the size SPE 0's would have (nothing
+        can have allocated in an unbuilt SPE's store)."""
+        spes = self.__dict__.get("spes")
+        if spes is not None:
+            return spes[0].local_store
+        return LocalStore(size_bytes=self.calib.local_store_bytes)
 
     def total_spe_busy_s(self) -> float:
         """Aggregate SPE kernel-active seconds (energy accounting)."""
-        return sum(s.busy_s for s in self.spes)
+        spes = self.__dict__.get("spes")
+        if spes is None:
+            return sum(self._unbuilt_spe_busy_s for _ in range(self.spe_count))
+        return sum(s.busy_s for s in spes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CellProcessor #{self.socket_id} spes={self.spe_count}>"

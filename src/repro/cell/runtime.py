@@ -108,8 +108,8 @@ class OffloadRuntime:
             self.chunk_bytes,
             cell.spe_count,
             calib.spe_per_chunk_overhead_s,
-            cell.dma.request_latency_s,
-            cell.dma.max_request_bytes,
+            cell.calib.dma_request_latency_s,
+            cell.calib.dma_max_request_bytes,
             calib.dma_bus_bw,
             calib.ppe_memcpy_bw,
             calib.cell_mr_per_chunk_overhead_s,
@@ -122,10 +122,12 @@ class OffloadRuntime:
 
         Double buffering needs two input and two output buffers of one
         chunk each. Runs against SPE 0's allocator (all SPEs are
-        identical) and rolls back, so configuration errors surface at
-        construction time exactly like an SPE link failure would.
+        identical; :meth:`CellProcessor.probe_store` stands in for it
+        while the SPEs are unbuilt) and rolls back, so configuration
+        errors surface at construction time exactly like an SPE link
+        failure would.
         """
-        ls = self.cell.spes[0].local_store
+        ls = self.cell.probe_store()
         names = ["in0", "in1", "out0", "out1"]
         allocated = []
         try:
@@ -238,7 +240,7 @@ class OffloadRuntime:
             t = self.analytic_time(nbytes, spe_bw)
             yield self.env.composite_timeout(startup, t)
             busy = nbytes / spe_bw + chunks * self.calib.spe_per_chunk_overhead_s
-            self._record_busy(busy)
+            self.cell.spread_busy(busy)
             return OffloadResult(nbytes, self.env.now - t0, chunks, "analytic", busy)
         if startup > 0:
             yield self.env.timeout(startup)
@@ -267,7 +269,7 @@ class OffloadRuntime:
         (DMA issue latencies plus the serialized seed bus slices)."""
         nspe = self.cell.spe_count
         bus_slice = self.PI_DMA_BYTES / self.calib.dma_bus_bw
-        return 2 * self.cell.dma.request_latency_s + (nspe + 1) * bus_slice
+        return 2 * self.cell.calib.dma_request_latency_s + (nspe + 1) * bus_slice
 
     def analytic_samples_time_batch(self, samples, socket_rate: float) -> np.ndarray:
         """Vectorized :meth:`analytic_samples_time` for a wave of tasks.
@@ -307,7 +309,7 @@ class OffloadRuntime:
                 lead_s, startup, self.analytic_samples_time(samples, socket_rate)
             )
             busy = samples / socket_rate * self.cell.spe_count
-            self._record_busy(busy)
+            self.cell.spread_busy(busy)
             return OffloadResult(
                 samples, self.env.now - t0, self.cell.spe_count, "analytic", busy
             )
@@ -349,12 +351,6 @@ class OffloadRuntime:
             return 0.0
         self._started = True
         return self.startup_s
-
-    def _record_busy(self, seconds: float) -> None:
-        """Spread analytic busy time evenly over the SPEs."""
-        share = seconds / self.cell.spe_count
-        for spe in self.cell.spes:
-            spe.busy_s += share
 
     def _event_offload(self, nbytes: float, chunks: int, spe_bw: float) -> Generator:
         """Event-accurate double-buffered offload across all SPEs."""
@@ -457,7 +453,7 @@ class CellMapReduceRuntime(OffloadRuntime):
             t = self.analytic_time(nbytes, spe_bw)
             yield self.env.composite_timeout(startup, t)
             busy = nbytes / spe_bw + chunks * self.calib.spe_per_chunk_overhead_s
-            self._record_busy(busy)
+            self.cell.spread_busy(busy)
             return OffloadResult(nbytes, self.env.now - t0, chunks, "analytic", busy)
         if startup > 0:
             yield self.env.timeout(startup)

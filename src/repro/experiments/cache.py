@@ -23,12 +23,13 @@ executes only the missing points and assembles the rest from cache.
 
 Two more files live next to the entries:
 
-- ``timings.json`` (:class:`TimingStore`) — recorded per-point
-  ``elapsed_s`` from prior runs; purely advisory, used to dispatch
-  pending points longest-first so wide pools do not end on a straggler.
+- ``timings.jsonl`` (:class:`TimingStore`) — an append-only log of
+  recorded per-point ``elapsed_s`` from prior runs; purely advisory,
+  used to dispatch pending points longest-first so wide pools do not
+  end on a straggler.
 - nothing else: :func:`prune_cache` (``repro sweep --cache-prune``)
-  deletes whole-sweep and point entries by age and/or total size,
-  oldest first, and leaves ``timings.json`` alone.
+  deletes whole-sweep and point entries (``*.json``) by age and/or
+  total size, oldest first, and leaves ``timings.jsonl`` alone.
 
 Entries are one JSON file each, ``<scenario>-<key16>.json``, holding
 the full key and the canonical payload. A hit reconstructs the result
@@ -50,8 +51,10 @@ each other to the same entry.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -114,14 +117,24 @@ def _hash_request(request: dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+_tmp_seq = itertools.count()
+
+
 def _atomic_write(path: Path, text: str) -> None:
     """Publish ``text`` at ``path`` all-or-nothing: a same-directory temp
     file + :func:`os.replace`, so a concurrent reader (another sweep, a
     serving daemon) sees the previous entry or the new one, never a
-    half-written file."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    half-written file. The temp name is unique per call (pid plus a
+    process-wide counter), so threads writing the same entry never
+    replace each other's temp file; a failed write removes its own."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_tmp_seq)}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 _T = TypeVar("_T")
@@ -328,8 +341,8 @@ class PointCache:
 
 
 class TimingStore:
-    """Recorded per-point ``elapsed_s`` from prior runs, persisted as
-    ``<cache_dir>/timings.json``.
+    """Recorded per-point ``elapsed_s`` from prior runs, persisted as the
+    append-only log ``<cache_dir>/timings.jsonl``.
 
     Purely advisory — never part of any cache key or canonical byte —
     so its key deliberately *excludes* the code version and calibration:
@@ -338,13 +351,27 @@ class TimingStore:
     correctness. The model mode is included (the reference model is
     much slower). Entries are keyed by the first 16 hex chars and
     capped at ``max_entries``, evicting least-recently-updated first.
+
+    The log holds one ``{"key": ..., "elapsed_s": ...}`` line per
+    record; on load the last line of a key wins, a torn or foreign line
+    is skipped, and the recency cap is applied. :meth:`flush` appends
+    the new records in one ``O_APPEND`` write, and rewrites the log
+    compactly (through :func:`_atomic_write`) only once it has grown
+    past ``2 * max_entries`` lines, so a served job does not pay a
+    whole-file rename per flush. One lock guards the table: a serving
+    daemon's concurrent jobs share one store. Stores in other processes
+    append to the same log; a compaction may drop their records made
+    since its load, which costs an estimate, never a byte.
     """
 
     def __init__(self, cache_dir: Path, max_entries: int = 10_000):
-        self.path = Path(cache_dir) / "timings.json"
+        self.path = Path(cache_dir) / "timings.jsonl"
         self.max_entries = max_entries
+        self._lock = threading.Lock()
         self._data: Optional[dict[str, float]] = None
-        self._dirty = False
+        self._lines = 0  # lines in the on-disk log, as this store knows it
+        self._torn_tail = False  # the log ends mid-line (a crashed append)
+        self._pending: list[str] = []
 
     def key(
         self,
@@ -360,44 +387,79 @@ class TimingStore:
             "reference_model": bool(model_reference),
         })
 
+    @staticmethod
+    def _line(key: str, elapsed_s: float) -> str:
+        return json.dumps({"key": key, "elapsed_s": elapsed_s}) + "\n"
+
     def _load(self) -> dict[str, float]:
+        """The table, read from the log on first use (lock held)."""
         if self._data is None:
+            data: dict[str, float] = {}
+            lines = 0
+            line = ""
             try:
-                raw = json.loads(self.path.read_text())
-                data = raw["elapsed_s"] if raw.get("format") == 1 else {}
-                self._data = {
-                    str(k): float(v) for k, v in data.items()
-                } if isinstance(data, dict) else {}
-            except (OSError, ValueError, KeyError, TypeError):
-                self._data = {}
+                with open(self.path, encoding="utf-8", errors="replace") as fh:
+                    for line in fh:
+                        lines += 1
+                        try:
+                            entry = json.loads(line)
+                            key, elapsed = str(entry["key"]), float(entry["elapsed_s"])
+                        except (ValueError, KeyError, TypeError):
+                            continue  # torn or foreign line
+                        data.pop(key, None)  # re-insert at the end: LRU-by-update
+                        data[key] = elapsed
+            except OSError:
+                pass
+            self._data = data
+            self._lines = lines
+            self._torn_tail = bool(line) and not line.endswith("\n")
+            self._trim()
         return self._data
 
+    def _trim(self) -> None:
+        data = self._data
+        if len(data) > self.max_entries:
+            for stale in list(data)[: len(data) - self.max_entries]:
+                del data[stale]
+
     def estimate(self, key: str) -> Optional[float]:
-        return self._load().get(key[:16])
+        with self._lock:
+            return self._load().get(key[:16])
 
     def record(self, key: str, elapsed_s: Optional[float]) -> None:
         if elapsed_s is None:
             return
-        data = self._load()
-        data.pop(key[:16], None)  # re-insert at the end: LRU-by-update
-        data[key[:16]] = round(float(elapsed_s), 6)
-        self._dirty = True
+        short, value = key[:16], round(float(elapsed_s), 6)
+        with self._lock:
+            data = self._load()
+            data.pop(short, None)  # re-insert at the end: LRU-by-update
+            data[short] = value
+            self._pending.append(self._line(short, value))
 
     def flush(self) -> None:
-        if not self._dirty:
-            return
-        data = self._load()
-        if len(data) > self.max_entries:
-            for stale in list(data)[: len(data) - self.max_entries]:
-                del data[stale]
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # No sort_keys: JSON objects round-trip in insertion order, and
-        # insertion order *is* the recency order the cap evicts by —
-        # sorting here would reset eviction to alphabetical on reload.
-        _atomic_write(
-            self.path, json.dumps({"format": 1, "elapsed_s": data}, indent=2) + "\n"
-        )
-        self._dirty = False
+        with self._lock:
+            if not self._pending:
+                return
+            self._trim()
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._lines + len(self._pending) > 2 * self.max_entries:
+                # Insertion order *is* the recency order the cap evicts
+                # by, so the compacted log keeps it.
+                text = "".join(self._line(k, v) for k, v in self._data.items())
+                _atomic_write(self.path, text)
+                self._lines = len(self._data)
+            else:
+                # A torn last line is terminated first, so it cannot
+                # swallow the first record appended after it.
+                text = ("\n" if self._torn_tail else "") + "".join(self._pending)
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    os.write(fd, text.encode())
+                finally:
+                    os.close(fd)
+                self._lines += len(self._pending)
+            self._torn_tail = False
+            self._pending.clear()
 
 
 @dataclass
@@ -420,9 +482,9 @@ def prune_cache(
     """Delete cache entries by age and/or total size (oldest first).
 
     Covers whole-sweep entries in ``cache_dir`` and point entries in
-    ``cache_dir/points``; the advisory ``timings.json`` is exempt (it
-    is one bounded file, and losing it costs dispatch quality, not
-    space). With ``max_age_days``, entries whose mtime is older are
+    ``cache_dir/points`` (``*.json``); the advisory ``timings.jsonl``
+    log does not match and is exempt (it is one bounded file, and
+    losing it costs dispatch quality, not space). With ``max_age_days``, entries whose mtime is older are
     removed; with ``max_bytes``, the oldest entries are removed until
     the survivors fit. With neither, nothing is removed (the stats
     still report the current entry count and footprint).
@@ -440,8 +502,6 @@ def prune_cache(
         except OSError:
             continue
         for path in listing:
-            if path == cache_dir / "timings.json":
-                continue
             try:
                 st = path.stat()
             except OSError:

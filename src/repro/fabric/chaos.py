@@ -113,6 +113,14 @@ def run_chaos_fleet(
     :class:`FleetError` when the sweep genuinely fails (poison points,
     fully dead fleet, restart budget exhausted).
     """
+    # Worker threads run points in-process, and _run_point_task's
+    # save/set/restore of the process-global model mode races between
+    # threads — harmless during the run (every worker sets the same
+    # value) but able to *leak* the fleet's mode past it. Pin the entry
+    # state before any worker starts (a worker may run a point before
+    # this thread looks again) and force-restore once every thread is
+    # joined.
+    prev_model_reference = modelmode.REFERENCE_MODE
     if coordinator_chaos is not None and journal_path is None:
         raise ValueError(
             "coordinator_chaos without journal_path would lose every "
@@ -162,12 +170,6 @@ def run_chaos_fleet(
     timer = threading.Timer(timeout_s, deadline.set)
     timer.start()
     restarts = 0
-    # Worker threads run points in-process, and _run_point_task's
-    # save/set/restore of the process-global model mode races between
-    # threads — harmless during the run (every worker sets the same
-    # value) but able to *leak* the fleet's mode past it. Pin the entry
-    # state and force-restore once every thread is joined.
-    prev_model_reference = modelmode.REFERENCE_MODE
     try:
         while True:
             if coord.wait(0.05):

@@ -50,7 +50,7 @@ from repro.fabric.tracker import SweepTracker, TrackerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render as render_prometheus
 from repro.serve.logs import log_event
-from repro.wire import ProtocolError, decode, send_msg
+from repro.wire import ProtocolError, decode, read_line, send_msg
 
 __all__ = ["FleetCoordinator"]
 
@@ -320,10 +320,10 @@ class FleetCoordinator:
         stream = conn.makefile("rwb")
         try:
             while True:
-                line = stream.readline()
-                if not line:
-                    return  # worker went away; liveness timeout handles it
                 try:
+                    line = read_line(stream)  # bounded: a flood is an error
+                    if not line:
+                        return  # worker went away; liveness timeout handles it
                     msg = protocol.parse_worker_msg(decode(line))
                 except ProtocolError as exc:
                     send_msg(stream, {"type": "error", "message": str(exc)})

@@ -33,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TaskTracker"]
 
+JITTER_BATCH = 64
+"""Unit draws fetched per refill of a tracker's heartbeat-jitter buffer."""
+
 
 def _is_assignment_reply(msg) -> bool:
     """Mailbox filter for heartbeat replies (module-level: the heartbeat
@@ -79,6 +82,10 @@ class TaskTracker:
         self._dirty = True
         self._wait_kind: Optional[str] = None  # None | "parked" | "resting"
         self._rejitter = False
+        # Heartbeat jitter: unit draws of the private tt-jitter stream,
+        # fetched JITTER_BATCH at a time (see _jitter).
+        self._jitter_units: list[float] = []
+        self._jitter_next = 0
         self._next_keepalive = 0.0
         self._keepalive_s = self.calib.heartbeat_timeout_s * modelmode.KEEPALIVE_FACTOR
         self.heartbeat_parks = 0
@@ -196,18 +203,33 @@ class TaskTracker:
         finally:
             self._wait_kind = None
 
+    def _jitter(self, lo: float, hi: float) -> float:
+        """One ``uniform(lo, hi)`` draw from this tracker's jitter stream.
+
+        numpy's ``uniform`` is ``lo + (hi - lo) * u`` for one unit draw
+        ``u``, and a vector of unit draws is the same sequence as that
+        many scalar draws, so serving ``u`` from a buffer filled
+        :data:`JITTER_BATCH` at a time yields the scalar draws' values.
+        """
+        if self._jitter_next == len(self._jitter_units):
+            stream = self.jt.rng.stream(f"tt-jitter-{self.tracker_id}")
+            self._jitter_units = stream.random(JITTER_BATCH).tolist()
+            self._jitter_next = 0
+        u = self._jitter_units[self._jitter_next]
+        self._jitter_next += 1
+        return lo + (hi - lo) * u
+
     def _heartbeat_loop(self) -> Generator:
-        jitter_rng = self.jt.rng.stream(f"tt-jitter-{self.tracker_id}")
         interval = self.calib.heartbeat_interval_s
         # Desynchronize tracker phases like real daemon start-up does.
-        yield self.env.timeout(float(jitter_rng.uniform(0, interval)))
+        yield self.env.timeout(self._jitter(0, interval))
         while self.alive:
             if self._rejitter:
                 # Woken from a park by a demand signal: rejoin the
                 # heartbeat cadence at a fresh phase, like a restarted
                 # daemon, instead of synchronizing on the wake instant.
                 self._rejitter = False
-                yield self.env.timeout(float(jitter_rng.uniform(0, interval)))
+                yield self.env.timeout(self._jitter(0, interval))
                 continue
             if self._event_thin and self._may_skip_heartbeat():
                 # Park until poked, but never past the keepalive
@@ -237,7 +259,7 @@ class TaskTracker:
             started = [proc for a in reply.assignments if (proc := self._launch(a)) is not None]
             if started:
                 self.env.start_processes(started)
-            sleep_s = interval * float(jitter_rng.uniform(0.95, 1.05))
+            sleep_s = interval * self._jitter(0.95, 1.05)
             if self._event_thin:
                 # The between-rounds rest is also wakeable: when demand
                 # appears (job arrival, reduces unlocked, requeue) a

@@ -109,27 +109,21 @@ class NameNode:
         return sorted(self._namespace)
 
     # -- placement ----------------------------------------------------------------
-    def _choose_targets(self, preferred: Optional[int], count: int, index: int) -> list[int]:
+    def _choose_targets(
+        self, ids: list[int], preferred: Optional[int], count: int, start: int
+    ) -> list[int]:
         """Pick ``count`` distinct DataNodes for one block's replicas.
 
         First replica goes to the preferred (writer-local) node when it
-        hosts a DataNode — the HDFS write-path rule; otherwise placement
-        round-robins by block index with a seeded rotation so ingested
-        files spread evenly, which is what a real multi-writer ingest
-        converges to.
+        hosts a DataNode — the HDFS write-path rule; the rest walk the
+        sorted ``ids`` from ``start`` (the block index plus its seeded
+        rotation), so ingested files spread evenly, which is what a real
+        multi-writer ingest converges to.
         """
-        ids = self.datanode_ids
-        if not ids:
-            raise HDFSError("no datanodes registered")
-        if count > len(ids):
-            raise HDFSError(f"replication {count} exceeds datanode count {len(ids)}")
         targets: list[int] = []
         if preferred is not None and preferred in self._datanodes:
             targets.append(preferred)
-        rotation = 0
-        if self.rng is not None:
-            rotation = int(self.rng.stream("hdfs-placement").integers(0, len(ids)))
-        i = (index + rotation) % len(ids)
+        i = start % len(ids)
         while len(targets) < count:
             cand = ids[i % len(ids)]
             if cand not in targets:
@@ -161,6 +155,11 @@ class NameNode:
           set sat in HDFS: the measured DataNode→TaskTracker traffic
           went "using the loopback interface" (§IV-A), i.e. reads were
           node-local.
+
+        Every block's placement rotation comes from one vector draw on
+        the ``hdfs-placement`` stream: for bounded integers numpy's
+        vector draw yields exactly the values of that many scalar draws,
+        so batching changes no placement.
         """
         if self.exists(path):
             raise HDFSError(f"file exists: {path}")
@@ -173,17 +172,26 @@ class NameNode:
         meta = FileMeta(path=path, size=size, block_size=bs, replication=repl)
         nblocks = -(-size // bs) if size else 0
         ids = self.datanode_ids
+        rotations: list[int] = [0] * nblocks
+        if nblocks:
+            if not ids:
+                raise HDFSError("no datanodes registered")
+            if repl > len(ids):
+                raise HDFSError(f"replication {repl} exceeds datanode count {len(ids)}")
+            if self.rng is not None:
+                rotations = self.rng.stream("hdfs-placement").integers(
+                    0, len(ids), size=nblocks).tolist()
         remaining = size
         index = 0
         while remaining > 0:
             bsize = min(bs, remaining)
             block = Block(self._next_block_id, path, index, bsize)
             self._next_block_id += 1
-            if placement == "contiguous" and ids:
-                home = ids[index * len(ids) // nblocks]
-                targets = self._choose_targets(home, repl, index)
+            if placement == "contiguous":
+                preferred = ids[index * len(ids) // nblocks]
             else:
-                targets = self._choose_targets(preferred_node, repl, index)
+                preferred = preferred_node
+            targets = self._choose_targets(ids, preferred, repl, index + rotations[index])
             for node_id in targets:
                 self.block_map.add(block, node_id)
                 self._datanodes[node_id].store_block(block)

@@ -64,10 +64,17 @@ class Address:
 
 
 def connect(address: Address, timeout: Optional[float] = None) -> socket.socket:
+    """An open stream socket to the daemon; a failed connect closes the
+    socket it made before raising (``create_connection`` does the same
+    for TCP), so retry loops leak no descriptors."""
     if address.socket_path is not None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(str(address.socket_path))
+        try:
+            sock.settimeout(timeout)
+            sock.connect(str(address.socket_path))
+        except BaseException:
+            sock.close()
+            raise
     else:
         sock = socket.create_connection(
             (address.host, address.port), timeout=timeout

@@ -59,6 +59,7 @@ from repro.obs.prometheus import CONTENT_TYPE, render as render_prometheus
 from repro.serve import protocol
 from repro.serve.jobs import Job, JobRequest, JobTable
 from repro.serve.logs import log_event, server_logger
+from repro.wire import read_line
 
 __all__ = ["ReproServer"]
 
@@ -290,10 +291,10 @@ class ReproServer:
     def _handle_conn(self, conn: socket.socket) -> None:
         stream = conn.makefile("rwb")
         try:
-            line = stream.readline()
-            if not line:
-                return
             try:
+                line = read_line(stream)  # bounded: a flood is an error
+                if not line:
+                    return
                 msg = protocol.parse_request(protocol.decode(line))
             except protocol.ProtocolError as exc:
                 self._send(stream, {"event": "error", "message": str(exc)})

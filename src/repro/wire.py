@@ -23,6 +23,7 @@ __all__ = [
     "decode",
     "encode",
     "read_events",
+    "read_line",
     "recv_msg",
     "send_msg",
 ]
@@ -40,10 +41,11 @@ class ProtocolError(ValueError):
     """Malformed frames or structurally invalid requests."""
 
 
-def _read_bounded(stream) -> Union[bytes, str]:
+def read_line(stream) -> Union[bytes, str]:
     """One ``readline`` capped at the frame bound. Returns the raw line
     (empty at EOF); raises :class:`ProtocolError` when the peer sent
-    more than :data:`MAX_FRAME_BYTES` without a newline."""
+    more than :data:`MAX_FRAME_BYTES` without a newline. Every read of
+    peer bytes goes through here, daemons' request reads included."""
     line = stream.readline(MAX_FRAME_BYTES + 1)
     if len(line) > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -85,7 +87,7 @@ def read_events(stream) -> Iterator[dict[str, Any]]:
     end at EOF — but an over-long line raises :class:`ProtocolError`.
     """
     while True:
-        line = _read_bounded(stream)
+        line = read_line(stream)
         if not line:
             return
         if line.strip():
@@ -107,7 +109,7 @@ def recv_msg(stream) -> dict[str, Any]:
     frame — the peer died mid-write — and is rejected rather than
     parsed, since a prefix of a JSON object can itself be valid JSON.
     """
-    line = _read_bounded(stream)
+    line = read_line(stream)
     if not line:
         raise ProtocolError("connection closed by peer")
     if not _has_terminator(line):

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -188,9 +189,121 @@ def test_timing_store_caps_entries(tmp_path):
     for i in range(6):
         store.record(f"{i:016x}" + "0" * 48, float(i))
     store.flush()
-    data = json.loads((tmp_path / "timings.json").read_text())["elapsed_s"]
-    assert len(data) == 3
-    assert set(data.values()) == {3.0, 4.0, 5.0}  # newest survive
+    lines = (tmp_path / "timings.jsonl").read_text().splitlines()
+    assert len(lines) == 6  # appended, not yet past 2 * max_entries
+    reloaded = TimingStore(tmp_path, max_entries=3)
+    found = {i: reloaded.estimate(f"{i:016x}" + "0" * 48) for i in range(6)}
+    assert found == {0: None, 1: None, 2: None, 3: 3.0, 4: 4.0, 5: 5.0}  # newest survive
+
+
+def test_timing_log_appends_then_compacts_past_twice_the_cap(tmp_path):
+    path = tmp_path / "timings.jsonl"
+    keys = [f"{i:016x}" + "0" * 48 for i in range(8)]
+    store = TimingStore(tmp_path, max_entries=3)
+    for i in range(6):
+        store.record(keys[i % 2], float(i))  # two keys, rewritten
+        store.flush()
+    assert len(path.read_text().splitlines()) == 6
+    store.record(keys[2], 7.0)
+    store.flush()  # 7 lines > 2 * 3: rewritten as one line per entry
+    assert [json.loads(line) for line in path.read_text().splitlines()] == [
+        {"key": keys[0][:16], "elapsed_s": 4.0},
+        {"key": keys[1][:16], "elapsed_s": 5.0},
+        {"key": keys[2][:16], "elapsed_s": 7.0},
+    ]
+    store.record(keys[3], 8.0)
+    store.flush()
+    assert len(path.read_text().splitlines()) == 4  # appending again
+    assert TimingStore(tmp_path, max_entries=3).estimate(keys[0]) is None
+
+
+def test_timing_log_skips_torn_and_foreign_lines(tmp_path):
+    keys = [f"{i:016x}" + "0" * 48 for i in range(3)]
+    (tmp_path / "timings.jsonl").write_text(
+        json.dumps({"key": keys[0][:16], "elapsed_s": 1.0}) + "\n"
+        + '["not", "an", "entry"]\n'
+        + json.dumps({"key": keys[1][:16], "elapsed_s": 2.0}) + "\n"
+        + '{"key": "' + keys[2][:16] + '", "elaps'  # torn final write
+    )
+    store = TimingStore(tmp_path)
+    assert store.estimate(keys[0]) == 1.0
+    assert store.estimate(keys[1]) == 2.0
+    assert store.estimate(keys[2]) is None
+    # The next append starts on a fresh line instead of extending the
+    # torn one, so its record survives a reload.
+    store.record(keys[2], 3.0)
+    store.flush()
+    assert TimingStore(tmp_path).estimate(keys[2]) == 3.0
+
+
+def _run_threads(target, n):
+    """Run ``target(t)`` on ``n`` threads (more than this host's cores)
+    with a short switch interval, so unlocked races surface."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target, args=(t,)) for t in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_timing_store_is_safe_under_concurrent_record_and_flush(tmp_path):
+    # One store shared by a daemon's concurrent jobs: flushing while
+    # another thread records must neither raise nor lose records.
+    store = TimingStore(tmp_path, max_entries=100_000)
+    errors = []
+
+    def job(t):
+        try:
+            for i in range(300):
+                store.record(f"{t:08x}{i:08x}" + "0" * 48, float(i))
+                if i % 7 == 0:
+                    store.flush()
+            store.flush()
+        except Exception as exc:  # pragma: no cover - the regression
+            errors.append(exc)
+
+    _run_threads(job, 4)
+    assert errors == []
+    reloaded = TimingStore(tmp_path, max_entries=100_000)
+    assert all(reloaded.estimate(f"{t:08x}{i:08x}") == float(i)
+               for t in range(4) for i in range(300))
+
+
+def test_atomic_write_survives_threads_writing_one_entry(tmp_path):
+    # Temp names are unique per call: threads of one process storing the
+    # same entry must not replace each other's temp file mid-publish.
+    path = tmp_path / "entry.json"
+    errors = []
+    barrier = threading.Barrier(4)
+
+    def writer(t):
+        barrier.wait()
+        try:
+            for i in range(50):
+                cache_mod._atomic_write(path, json.dumps({"t": t, "i": i}))
+        except Exception as exc:  # pragma: no cover - the regression
+            errors.append(exc)
+
+    _run_threads(writer, 4)
+    assert errors == []
+    assert json.loads(path.read_text())["i"] == 49
+    assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]  # no temp left
+
+
+def test_atomic_write_failure_removes_its_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache_mod.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        cache_mod._atomic_write(tmp_path / "entry.json", "{}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timing_store_recency_survives_reload(tmp_path):
@@ -222,7 +335,7 @@ def test_order_tasks_longest_first_unknown_leading():
 def test_recorded_timings_change_dispatch_not_bytes(tmp_path):
     serial = run_sweep("_test_synth", workers=1)
     first, _ = cached_sweep("_test_synth", workers=2, cache_dir=tmp_path)
-    assert (tmp_path / "timings.json").exists()
+    assert (tmp_path / "timings.jsonl").exists()
     # Second parallel run dispatches longest-recorded-first; bytes and
     # point order in the result are untouched.
     (cache_path(tmp_path, get_scenario("_test_synth"),
@@ -247,7 +360,8 @@ def test_prune_by_age(tmp_path):
     sc = get_scenario("_test_synth")
     result, _ = cached_sweep(sc, workers=1, cache_dir=tmp_path)
     entries = sorted(tmp_path.glob("*.json")) + sorted((tmp_path / "points").glob("*.json"))
-    old = [p for p in entries if p.name != "timings.json"][:4]
+    assert (tmp_path / "timings.jsonl") not in entries  # not an entry
+    old = entries[:4]
     for p in old:
         _touch(p, 10 * 86_400, now)
     stats = prune_cache(tmp_path, max_age_days=5, now=now)
@@ -255,7 +369,7 @@ def test_prune_by_age(tmp_path):
     assert stats.freed_bytes > 0
     for p in old:
         assert not p.exists()
-    assert (tmp_path / "timings.json").exists()  # advisory file exempt
+    assert (tmp_path / "timings.jsonl").exists()  # advisory log exempt
 
 
 def test_prune_by_bytes_keeps_newest(tmp_path):

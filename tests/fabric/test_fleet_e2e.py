@@ -173,6 +173,74 @@ def test_coordinator_register_rejects_foreign_key(tmp_path):
         coord.close()
 
 
+def test_oversized_frame_gets_one_error_then_the_sweep_completes(tmp_path):
+    import socket as socket_mod
+
+    from repro.wire import recv_msg
+
+    serial = serial_sha("_fleet_synth", None, modelmode.REFERENCE_MODE)
+    coord = FleetCoordinator("_fleet_synth", socket_path=tmp_path / "fleet.sock",
+                             no_worker_timeout_s=30.0, linger_s=0.2).start()
+    t = None
+    try:
+        # 9 MiB and no newline: one error frame, then the connection
+        # closes; the coordinator never buffers past the frame cap.
+        sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+        sock.connect(str(coord.socket_path))
+        sock.settimeout(20.0)  # an unbounded reader would never answer
+        try:
+            try:
+                sock.sendall(b"x" * (9 * 1024 * 1024))
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the coordinator stopped reading: expected
+            stream = sock.makefile("rb")
+            reply = recv_msg(stream)
+            try:
+                rest = stream.read()
+            except ConnectionResetError:
+                rest = b""  # closed with our unread flood queued: a reset
+        finally:
+            sock.close()
+        assert reply["type"] == "error"
+        assert "oversized frame" in reply["message"]
+        assert rest == b""  # nothing after the one error: it hung up
+        # A real worker afterwards completes the sweep byte-identically.
+        worker = FleetWorker(Address(socket_path=coord.socket_path),
+                             name="w0", heartbeat_s=0.05)
+        t = threading.Thread(target=worker.run, daemon=True)
+        t.start()
+        assert coord.wait(timeout=30.0)
+        assert coord.result is not None
+        assert coord.result.sha256() == serial
+    finally:
+        coord.close()
+        if t is not None:
+            t.join(timeout=5.0)
+
+
+def test_chaos_fleet_restores_the_mode_it_was_entered_with(monkeypatch):
+    import repro.fabric.chaos as chaos_mod
+
+    class EagerWorker(FleetWorker):
+        """Stands for a worker thread that already ran a point, and so
+        set the process-global model mode, before the runner checks."""
+
+        def __init__(self, *args, **kwargs):
+            modelmode.set_model_reference(True)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(chaos_mod, "FleetWorker", EagerWorker)
+    prev = modelmode.set_model_reference(False)
+    try:
+        result, _, _ = run_chaos_fleet(
+            "_fleet_synth", model_reference=True, workers=1,
+            timeout_s=60.0, linger_s=0.3)
+        assert result.sha256() == serial_sha("_fleet_synth", None, True)
+        assert modelmode.REFERENCE_MODE is False  # not the fleet's mode
+    finally:
+        modelmode.set_model_reference(prev)
+
+
 def test_point_cache_prefill_keeps_bytes_identical(tmp_path):
     serial = serial_sha("_fleet_synth", None, modelmode.REFERENCE_MODE)
     cache_dir = tmp_path / "cache"

@@ -144,6 +144,41 @@ def test_malformed_and_invalid_requests_get_error_events(server, address):
     assert wait_for_server(address, timeout=5)
 
 
+def test_oversized_frame_gets_one_error_then_the_daemon_serves_on(server, address):
+    import socket as socket_mod
+
+    from repro.wire import MAX_FRAME_BYTES, recv_msg
+
+    # 9 MiB and no newline: the bounded read stops at the frame cap,
+    # answers one error event and closes, instead of buffering it all.
+    sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+    sock.connect(str(server.socket_path))
+    sock.settimeout(20.0)  # an unbounded reader would never answer
+    try:
+        try:
+            sock.sendall(b"x" * (9 * 1024 * 1024))
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the daemon stopped reading: expected
+        stream = sock.makefile("rb")
+        reply = recv_msg(stream)
+        try:
+            rest = stream.read()
+        except ConnectionResetError:
+            rest = b""  # closed with our unread flood queued: a reset
+    finally:
+        sock.close()
+    assert reply["event"] == "error"
+    assert "oversized frame" in reply["message"]
+    assert str(MAX_FRAME_BYTES) in reply["message"]
+    assert rest == b""  # nothing after the one error: the daemon hung up
+    # A normal request afterwards is served byte-identically.
+    offline = run_sweep("_serve_synth", seed=1234, workers=1)
+    term = submit_events(address, "_serve_synth")[-1]
+    assert term["event"] == "result"
+    assert term["payload"] == offline.pretty_json()
+    assert term["sha256"] == offline.sha256()
+
+
 def test_detach_then_poll_status_for_payload(server, address):
     offline = run_sweep("_serve_synth", seed=77, workers=1)
     acc = request_one(

@@ -9,6 +9,7 @@ attempts.
 """
 
 import io
+import os
 import threading
 import time
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.serve import Address, ReproServer, retry_delays, wait_for_server
+from repro.serve.client import connect
 
 
 def test_retry_delays_are_exponential_with_jitter():
@@ -42,6 +44,24 @@ def test_exhausted_retries_exit_4(tmp_path):
     assert code == 4
     assert "retry 1/2" in text and "retry 2/2" in text
     assert "after 2 retries" in text
+
+
+def test_failed_connects_leave_no_open_descriptors(tmp_path):
+    # Keep every error alive, as a retry loop that reports them would:
+    # a socket that a failed connect left open stays open with it.
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        pytest.skip("no per-process descriptor listing on this platform")
+    address = Address(socket_path=tmp_path / "none.sock")
+    before = len(os.listdir(fd_dir))
+    errors = []
+    for _ in range(20):
+        try:
+            connect(address, timeout=1.0)
+        except OSError as exc:
+            errors.append(exc)
+    assert len(errors) == 20
+    assert len(os.listdir(fd_dir)) == before
 
 
 def test_negative_retry_flags_are_usage_errors(tmp_path):
