@@ -632,7 +632,9 @@ def _cmd_sweep(args, out) -> int:
             print(metrics_block, file=out)
         print(file=out)
         print(f"points: {result.executed_points} executed, "
-              f"{result.cached_points} assembled from cache", file=out)
+              f"{result.cached_points} assembled from cache, "
+              f"{result.corrupt_points} cache entries failed their digest",
+              file=out)
     print(file=out)
     method = f", {result.start_method} pool" if result.start_method else ""
     print(f"sweep {result.scenario}: {len(result.points)} points, "

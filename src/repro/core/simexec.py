@@ -4,6 +4,12 @@ Wires the complete prototype: cluster hardware → HDFS (NameNode on the
 master, a DataNode per worker) → Hadoop runtime (JobTracker on the
 master, a TaskTracker per worker) → per-node kernel backends. These are
 the engines behind every distributed figure (4, 5, 7, 8).
+
+The ``run_*`` runners build one cluster per call and close it
+(:meth:`SimulatedCluster.close`) once the result is built, so the
+cluster is freed by reference counting. With ``return_cluster=True``
+they return ``(result, cluster)`` instead and leave the cluster open:
+the caller may inspect it, run more jobs on it, and close it.
 """
 
 from __future__ import annotations
@@ -117,6 +123,18 @@ class SimulatedCluster:
             self.replication_manager.start()
         if self._obs is not None:
             attach_sampler(self, self._obs)
+
+    def close(self) -> None:
+        """Free the finished simulation by reference counting.
+
+        Closes the environment (every daemon generator, the heap) and
+        cuts the JobTracker's links to its TaskTrackers and scheduler
+        views; without this every finished cluster is one reference
+        cycle left to the cyclic collector. Results already built stay
+        valid; the cluster cannot run again. Idempotent.
+        """
+        self.env.close()
+        self.jobtracker.close()
 
     def publish_metrics(self) -> None:
         """Delta-flush model tallies into the obs registry (no-op when
@@ -304,7 +322,10 @@ def run_encryption_job(
         fallback_backend=fallback_backend,
     )
     result = sim.run_job(conf)
-    return (result, sim) if return_cluster else result
+    if return_cluster:
+        return result, sim
+    sim.close()
+    return result
 
 
 def run_empty_job(
@@ -355,7 +376,10 @@ def run_pi_job(
         fallback_backend=fallback_backend,
     )
     result = sim.run_job(conf)
-    return (result, sim) if return_cluster else result
+    if return_cluster:
+        return result, sim
+    sim.close()
+    return result
 
 
 @dataclass
@@ -487,7 +511,10 @@ def run_workload_mix(
         scheduler=sim.jobtracker.scheduler.name,
         decision_counters=sim.jobtracker.decision_counters(),
     )
-    return (mix, sim) if return_cluster else mix
+    if return_cluster:
+        return mix, sim
+    sim.close()
+    return mix
 
 
 def run_sort_job(
@@ -513,4 +540,7 @@ def run_sort_job(
         num_reduce_tasks=num_reduce_tasks if num_reduce_tasks is not None else nodes,
     )
     result = sim.run_job(conf)
-    return (result, sim) if return_cluster else result
+    if return_cluster:
+        return result, sim
+    sim.close()
+    return result

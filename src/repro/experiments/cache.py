@@ -34,7 +34,10 @@ Two more files live next to the entries:
 Entries are one JSON file each, ``<scenario>-<key16>.json``, holding
 the full key and the canonical payload. A hit reconstructs the result
 without running a single simulation; a corrupt or mismatched entry is
-treated as a miss and overwritten.
+treated as a miss and overwritten. Point entries also store a sha256 of
+their canonical value bytes, so an entry whose values were altered on
+disk (still valid JSON, right key) is caught on read, counted in
+:attr:`PointCache.corrupt`, and recomputed.
 
 **Concurrent access.** A long-lived ``repro serve`` daemon reads and
 writes this cache while ``repro sweep --cache-prune`` (or another
@@ -89,8 +92,8 @@ __all__ = [
 _FORMAT = 1
 """Whole-sweep cache schema version; bump to invalidate stored entries."""
 
-_POINT_FORMAT = 1
-"""Per-point cache schema version."""
+_POINT_FORMAT = 2
+"""Per-point cache schema version (2: entries carry a value digest)."""
 
 
 @functools.cache
@@ -114,6 +117,13 @@ def _code_version() -> str:
 
 def _hash_request(request: dict[str, Any]) -> str:
     blob = json.dumps(request, sort_keys=True, separators=(",", ":"), default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def value_digest(values: Mapping[str, float]) -> str:
+    """sha256 of one point's canonical value bytes (sorted keys, no
+    whitespace, floats at full ``repr`` precision)."""
+    blob = json.dumps(dict(values), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -270,7 +280,9 @@ class PointCache:
 
     One small JSON file per grid point, named by scenario plus the
     first 16 hex chars of the :func:`point_key`; the full key stored
-    inside guards against prefix collisions. Values round-trip through
+    inside guards against prefix collisions, and the stored
+    :func:`value_digest` against values altered on disk (a mismatch is
+    a miss, tallied in :attr:`corrupt`). Values round-trip through
     JSON, which serializes floats at full ``repr`` precision — a
     cache-assembled sweep is byte-identical to a fresh one.
     """
@@ -282,6 +294,9 @@ class PointCache:
         #: the obs registry as counters.
         self.hits = 0
         self.misses = 0
+        #: Entries that existed for the key but failed the value digest
+        #: (or would not parse); each also counts as a miss.
+        self.corrupt = 0
         self._obs_lookups = (
             obs.registry().counter(
                 "repro_point_cache_lookups_total",
@@ -317,15 +332,20 @@ class PointCache:
         if not path.exists():
             return None
         try:
-            entry = json.loads(path.read_text())
+            text = path.read_text()
+        except OSError:
+            return None  # pruned away between the check and the read
+        try:
+            entry = json.loads(text)
             if entry.get("format") != _POINT_FORMAT or entry.get("key") != key:
                 return None
             values = entry["values"]
-            return dict(values) if isinstance(values, dict) else None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Unreadable == miss; OSError covers an entry pruned away
-            # between the existence check and the read.
-            return None
+            if isinstance(values, dict) and entry["sha256"] == value_digest(values):
+                return dict(values)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            pass
+        self.corrupt += 1
+        return None
 
     def store(self, name: str, key: str, values: Mapping[str, float]) -> Path:
         path = self._path(name, key)
@@ -335,6 +355,7 @@ class PointCache:
             "key": key,
             "scenario": name,
             "values": dict(values),
+            "sha256": value_digest(values),
         }
         _atomic_write(path, json.dumps(entry, sort_keys=True, indent=2) + "\n")
         return path

@@ -81,6 +81,9 @@ class SweepResult:
     #: How many grid points actually ran vs. came from the point cache.
     executed_points: int = 0
     cached_points: int = 0
+    #: Point-cache entries found but rejected by their value digest
+    #: (those points ran again and count as executed).
+    corrupt_points: int = 0
 
     def canonical_dict(self) -> dict[str, Any]:
         return {
@@ -286,7 +289,9 @@ def run_sweep(
     point_elapsed: list[Optional[float]] = [None] * total
     cache_keys: list[Optional[str]] = [None] * total
     cached = 0
+    corrupt_before = 0
     if point_cache is not None:
+        corrupt_before = point_cache.corrupt
         for i, cfg in enumerate(points):
             cache_keys[i], hit = point_cache.lookup(
                 sc, cfg, model_reference=model_reference
@@ -334,7 +339,7 @@ def run_sweep(
         timings.flush()
     elapsed = time.perf_counter() - t0
 
-    return build_result(
+    result = build_result(
         sc,
         results,
         point_elapsed,
@@ -345,6 +350,9 @@ def run_sweep(
         cached_points=cached,
         point_metrics=point_metrics if collect_metrics else None,
     )
+    if point_cache is not None:
+        result.corrupt_points = point_cache.corrupt - corrupt_before
+    return result
 
 
 def build_result(

@@ -492,6 +492,7 @@ def sla_mix_point(cfg: Mapping[str, Any]) -> dict[str, float]:
                 # strictly cross-tenant reclamation.
                 arrivals.append(wave * cfg["stagger_s"])
         results = sim.run_jobs(confs, arrivals=arrivals)
+        sim.close()
         per_tenant: dict[str, list[float]] = {t: [] for t, _, _ in SLA_TENANTS}
         for conf, res in zip(confs, results):
             per_tenant[conf.name.rsplit("-", 1)[0]].append(res.makespan_s)

@@ -50,7 +50,13 @@ from repro.fabric.tracker import SweepTracker, TrackerConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render as render_prometheus
 from repro.serve.logs import log_event
-from repro.wire import ProtocolError, decode, read_line, send_msg
+from repro.wire import (
+    ProtocolError,
+    decode,
+    drain_after_error,
+    read_line,
+    send_msg,
+)
 
 __all__ = ["FleetCoordinator"]
 
@@ -327,6 +333,7 @@ class FleetCoordinator:
                     msg = protocol.parse_worker_msg(decode(line))
                 except ProtocolError as exc:
                     send_msg(stream, {"type": "error", "message": str(exc)})
+                    drain_after_error(conn)
                     return
                 reply = self._handle_frame(msg)
                 if reply is None:

@@ -283,6 +283,12 @@ class JobTracker:
         self.env.process(self._main_loop(), name="jobtracker")
         self.env.process(self._failure_monitor(), name="jt-monitor")
 
+    def close(self) -> None:
+        """Drop the links back to this tracker (TaskTrackers, views)
+        once its environment is closed; see ``SimulatedCluster.close``."""
+        self._trackers.clear()
+        self._view = None
+
     # -- submission ----------------------------------------------------------------
     def submit_job(self, conf: JobConf) -> Job:
         """Create a job and start its setup; returns immediately.

@@ -240,7 +240,7 @@ def _reader_loop(reader: RecordReader, queue: Store) -> Generator:
             batch = yield from reader.read_record(offset, length, index)
             yield queue.put(batch)
         yield queue.put(_SENTINEL)
-    except BaseException as exc:  # noqa: BLE001 - forwarded to consumer
+    except Exception as exc:  # noqa: BLE001 - forwarded to consumer
         from repro.sim.events import Interrupt
 
         if isinstance(exc, Interrupt):

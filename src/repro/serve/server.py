@@ -59,7 +59,7 @@ from repro.obs.prometheus import CONTENT_TYPE, render as render_prometheus
 from repro.serve import protocol
 from repro.serve.jobs import Job, JobRequest, JobTable
 from repro.serve.logs import log_event, server_logger
-from repro.wire import read_line
+from repro.wire import drain_after_error, read_line
 
 __all__ = ["ReproServer"]
 
@@ -298,6 +298,7 @@ class ReproServer:
                 msg = protocol.parse_request(protocol.decode(line))
             except protocol.ProtocolError as exc:
                 self._send(stream, {"event": "error", "message": str(exc)})
+                drain_after_error(conn)
                 return
             self.handle_request(msg, lambda event: self._send(stream, event))
         except (BrokenPipeError, ConnectionResetError, OSError):

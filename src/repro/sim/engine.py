@@ -15,6 +15,9 @@ Engine internals (see ``docs/PERFORMANCE.md`` for the full contract):
 - :meth:`capture_trace` records the ``(time, priority, seq,
   event-class)`` trace; ``tests/sim/data/frozen_traces.json`` pins its
   sha256 for fixed programs, and ``benchmarks/run_perf.py`` checks it.
+- :meth:`close` ends a finished simulation: it closes every live
+  process's generator and empties the heap, so the model objects the
+  suspended frames held are freed by reference counting.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ class Environment:
         self._processed_count = 0
         self._trace: Optional[list[tuple[float, int, int, str]]] = None
         self._until_flag: Optional[_StopFlag] = _StopFlag()
+        #: Live processes in creation order. A process joins when it is
+        #: created and leaves when its generator finishes, so the cost
+        #: is per process, never per event; :meth:`close` needs it.
+        self._procs: dict[Process, None] = {}
+        self._closed = False
 
     # -- clock ---------------------------------------------------------------
     @property
@@ -219,6 +227,24 @@ class Environment:
             # Unhandled failure: nobody waited on this event.
             raise event._exc
 
+    def close(self) -> None:
+        """End the simulation and release what its processes hold.
+
+        Every live process loses its resume target and has its generator
+        closed (``finally`` blocks run; anything they schedule is
+        dropped), then the heap is emptied. A suspended daemon frame
+        points back at the model object that started it, so without
+        this a finished simulation is one reference cycle that only the
+        cyclic collector frees. Idempotent; :meth:`run` raises
+        :class:`SimulationError` afterwards.
+        """
+        self._closed = True
+        procs, self._procs = self._procs, {}
+        for proc in procs:
+            proc._target = None
+            proc.gen.close()
+        self._heap.clear()
+
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -230,6 +256,8 @@ class Environment:
             an :class:`Event` — run until that event is processed and
             return its value.
         """
+        if self._closed:
+            raise SimulationError("the environment is closed")
         heap = self._heap
         step = self.step
         if until is None:

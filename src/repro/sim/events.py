@@ -212,6 +212,7 @@ class Process(Event):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Optional[Event] = None
+        env._procs[self] = None
         if start:
             Initialize(env, self)
 
@@ -282,10 +283,12 @@ class Process(Event):
                 nxt = self.gen.throw(event._exc)
         except StopIteration as stop:
             env._active_proc = None
+            env._procs.pop(self, None)
             self.succeed(stop.value)
             return
         except BaseException as exc:
             env._active_proc = None
+            env._procs.pop(self, None)
             self.fail(exc)
             return
         # Dominant continuation inlined: a fresh pending event in this
@@ -322,14 +325,17 @@ class Process(Event):
                         nxt = gen.throw(nxt._exc)
                 except StopIteration as stop:
                     env._active_proc = None
+                    env._procs.pop(self, None)
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:
                     env._active_proc = None
+                    env._procs.pop(self, None)
                     self.fail(exc)
                     return
                 continue
             env._active_proc = None
+            env._procs.pop(self, None)
             if not isinstance(nxt, Event):
                 self.fail(TypeError(f"process {self.name!r} yielded non-event {nxt!r}"))
             else:

@@ -15,12 +15,15 @@ offline sweeps).
 from __future__ import annotations
 
 import json
+import socket
+import time
 from typing import Any, Iterator, Mapping, Union
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "ProtocolError",
     "decode",
+    "drain_after_error",
     "encode",
     "read_events",
     "read_line",
@@ -37,8 +40,42 @@ __all__ = [
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 
+#: After its error reply to a bad frame, a daemon discards at most this
+#: many more bytes of the peer's input, for at most this long, before it
+#: closes the connection (see :func:`drain_after_error`).
+DRAIN_MAX_BYTES = MAX_FRAME_BYTES
+DRAIN_MAX_S = 5.0
+
+
 class ProtocolError(ValueError):
     """Malformed frames or structurally invalid requests."""
+
+
+def drain_after_error(conn: socket.socket) -> None:
+    """Let the peer read a clean EOF after a daemon's error reply.
+
+    A socket closed with unread input makes Linux reset the connection,
+    so a peer still sending the rest of an oversized frame would get
+    ECONNRESET instead of the reply and EOF. Shut the write side (the
+    peer sees EOF right after the reply), then read and discard input
+    until the peer closes, :data:`DRAIN_MAX_BYTES` or
+    :data:`DRAIN_MAX_S`, whichever comes first. The caller closes.
+    """
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + DRAIN_MAX_S
+        left = DRAIN_MAX_BYTES
+        while left > 0:
+            wait = deadline - time.monotonic()
+            if wait <= 0:
+                return
+            conn.settimeout(wait)
+            chunk = conn.recv(min(left, 1 << 16))
+            if not chunk:
+                return
+            left -= len(chunk)
+    except OSError:  # includes the recv timeout
+        pass
 
 
 def read_line(stream) -> Union[bytes, str]:

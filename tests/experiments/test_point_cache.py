@@ -158,6 +158,59 @@ def test_corrupt_point_entry_is_a_miss(tmp_path):
     assert cache.get(sc.name, key) is None
 
 
+def _flip_one_value_byte(path: Path) -> None:
+    """Change one digit of the stored value: still valid JSON, same key."""
+    text = path.read_text()
+    at = text.index('"y": ') + len('"y": ')
+    digit = text[at]
+    assert digit.isdigit()
+    path.write_text(text[:at] + str((int(digit) + 1) % 10) + text[at + 1:])
+
+
+def test_value_digest_mismatch_is_a_counted_miss(tmp_path):
+    sc = get_scenario("_test_synth")
+    cache = PointCache(tmp_path)
+    key, _ = cache.lookup(sc, sc.points()[0])
+    path = cache.store(sc.name, key, {"y": 1.5})
+    assert json.loads(path.read_text())["sha256"] == cache_mod.value_digest({"y": 1.5})
+    _flip_one_value_byte(path)
+    assert json.loads(path.read_text())["values"] == {"y": 2.5}
+    assert cache.lookup(sc, sc.points()[0]) == (key, None)
+    assert (cache.hits, cache.misses, cache.corrupt) == (0, 2, 1)
+
+
+def test_flipped_value_byte_is_recomputed_byte_identically(tmp_path):
+    """One altered byte in one stored point: the next sweep recomputes
+    that point (and only it), `sweep -v` reports the digest failure, and
+    the saved series are byte-identical to the first run's."""
+    cache_dir = tmp_path / "cache"
+
+    def sweep(out_dir):
+        buf = io.StringIO()
+        code = cli_main(["sweep", "_test_synth", "--cache", "--cache-dir",
+                         str(cache_dir), "--out", str(out_dir), "-v"], out=buf)
+        assert code == 0
+        return buf.getvalue(), (out_dir / "_test_synth.json").read_bytes()
+
+    _, first = sweep(tmp_path / "first")
+    for whole in cache_dir.glob("_test_synth-*.json"):
+        whole.unlink()  # force the point-cache path
+    entries = sorted((cache_dir / "points").glob("_test_synth-*.json"))
+    assert len(entries) == 9
+    _flip_one_value_byte(entries[4])
+    text, again = sweep(tmp_path / "again")
+    assert "points: 1 executed, 8 assembled from cache, " \
+        "1 cache entries failed their digest" in text
+    assert again == first
+    # The recomputed value was stored back intact.
+    for whole in cache_dir.glob("_test_synth-*.json"):
+        whole.unlink()
+    text, third = sweep(tmp_path / "third")
+    assert "points: 0 executed, 9 assembled from cache, " \
+        "0 cache entries failed their digest" in text
+    assert third == first
+
+
 def test_parallel_incremental_resweep_matches_serial(tmp_path):
     cached_sweep("_test_synth", workers=1, cache_dir=tmp_path)
     edited = get_scenario("_test_synth").with_overrides(

@@ -181,3 +181,28 @@ def test_placement_deterministic_per_seed():
         return [b.locations[0] for b in sim.namenode.file_meta("/in").blocks]
 
     assert homes(7) == homes(7)
+
+
+def test_closing_the_environment_mid_read_ends_the_reader_loop_quietly():
+    """The record-reader loop forwards read failures to its consumer,
+    but the environment closing (GeneratorExit) is not a read failure:
+    it must end the loop, not be parked in the queue."""
+    from repro.hadoop.tasks import _reader_loop
+    from repro.sim.resources import Store
+
+    env = Environment()
+
+    class SlowReader:
+        def record_ranges(self):
+            return [(0, 1), (1, 1)]
+
+        def read_record(self, offset, length, index):
+            yield env.timeout(1.0)
+            return index
+
+    queue = Store(env, capacity=1)
+    reader = env.process(_reader_loop(SlowReader(), queue))
+    env.run(until=0.5)
+    env.close()
+    assert len(queue) == 0
+    assert reader.is_alive  # closed, never resumed: no termination event

@@ -200,3 +200,82 @@ def test_processed_event_count_increases():
     env.process(proc())
     env.run()
     assert env.processed_events >= 2
+
+
+def test_finished_processes_leave_the_live_registry():
+    env = Environment()
+
+    def ok():
+        yield env.timeout(1)
+
+    def bad():
+        yield env.timeout(1)
+        raise ValueError("boom")
+
+    def non_event():
+        yield 42
+
+    procs = [env.process(ok()), env.process(bad()), env.process(non_event())]
+    for p in procs[1:]:
+        p.callbacks.append(lambda e: e.defused())
+    env.run()
+    assert not any(p.is_alive for p in procs)
+    assert env._procs == {}
+
+
+def test_close_runs_finally_blocks_drops_the_heap_and_refuses_to_run():
+    env = Environment()
+    cleaned = []
+
+    def daemon():
+        try:
+            while True:
+                yield env.timeout(1)
+        finally:
+            cleaned.append(env.now)
+            env.timeout(5)  # scheduled while closing: dropped
+
+    def unstarted():
+        cleaned.append("never")
+        yield env.timeout(1)
+
+    env.process(daemon())
+    env.process(unstarted(), start=False)
+    env.run(until=2.5)
+    env.close()
+    env.close()  # idempotent
+    assert cleaned == [2.5]
+    assert env.peek() == float("inf")
+    with pytest.raises(SimulationError):
+        env.run()
+
+
+def test_close_frees_a_process_parked_on_an_event_its_frame_owns():
+    """A process waiting on an event stored on an object its own frame
+    holds is a reference cycle; closing the generator breaks it, so the
+    object dies by reference counting, with no collector pass."""
+    import gc
+    import weakref
+
+    class Box:
+        pass
+
+    def waiter(box):
+        box.wakeup = env.event()
+        yield box.wakeup
+
+    env = Environment()
+    box = Box()
+    alive = weakref.ref(box)
+    env.process(waiter(box))
+    del box
+    env.run()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        env.close()
+        del env
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
